@@ -75,10 +75,8 @@ func KSCCentroid(cluster [][]float64, ref []float64) []float64 {
 	}
 	m := len(cluster[0])
 	refIsZero := ref == nil || isAllZero(ref)
-	msum := linalg.NewSym(m)
-	// M = n·I − Σ x̂ x̂ᵀ
-	gram := linalg.NewSym(m)
-	n := 0
+	// M = n·I − Σ x̂ x̂ᵀ over the unit-normalized members with nonzero norm.
+	units := make([][]float64, 0, len(cluster))
 	for _, x := range cluster {
 		var a []float64
 		if refIsZero {
@@ -95,12 +93,15 @@ func KSCCentroid(cluster [][]float64, ref []float64) []float64 {
 		for i, v := range a {
 			unit[i] = v / nrm
 		}
-		gram.GramAddOuter(unit)
-		n++
+		units = append(units, unit)
 	}
+	n := len(units)
 	if n == 0 {
 		return make([]float64, m)
 	}
+	gram := linalg.NewSym(m)
+	gram.GramAddRows(units)
+	msum := linalg.NewSym(m)
 	for i := 0; i < m; i++ {
 		for j := 0; j < m; j++ {
 			v := -gram.At(i, j)

@@ -14,6 +14,7 @@ import (
 	"log/slog"
 	"math"
 	"math/rand"
+	"sync"
 
 	"kshape/internal/avg"
 	"kshape/internal/dist"
@@ -414,9 +415,10 @@ func KShapeRun(data [][]float64, k int, rng *rand.Rand, opt KShapeOpts) (*Result
 	ob := newRunObserver(n, k, opt.OnIteration, opt.Logger)
 	capture := ob.captureRows()
 
-	// All per-iteration state is allocated once, outside the loop, so the
-	// steady-state iterations are allocation-free apart from the eigen
-	// solve inside shape extraction:
+	// All per-iteration state is allocated once, outside the loop, so in
+	// the steady state the only allocations per shape extraction are the
+	// eigensolve's vectors (one of which becomes the new centroid) and the
+	// centering pass's mean vectors, independent of the cluster size:
 	//   - queries caches one prepared spectrum per centroid; specFresh[j]
 	//     records that queries[j] still matches centroids[j], so a centroid
 	//     that did not move between iterations is never re-transformed.
@@ -427,6 +429,9 @@ func KShapeRun(data [][]float64, k int, rng *rand.Rand, opt KShapeOpts) (*Result
 	//     (ascending within each cluster, exactly like the append-based
 	//     grouping it replaces), and alignRows is the n×m backing the
 	//     aligned members are shifted into.
+	//   - extractors pools shape-extraction workspaces (the m×m Gram
+	//     matrix and the z-normalized member rows), acquired per cluster
+	//     refinement like the batch's SBD scratches.
 	queries := make([]*dist.SBDQuery, k)
 	specFresh := make([]bool, k)
 	settled := make([]bool, k)
@@ -438,6 +443,7 @@ func KShapeRun(data [][]float64, k int, rng *rand.Rand, opt KShapeOpts) (*Result
 	starts := make([]int, k+1)
 	fill := make([]int, k)
 	alignRows := ts.NewMatrix(n, m)
+	var extractors sync.Pool // *avg.ShapeWorkspace
 
 	for iter := 0; iter < maxIter; iter++ {
 		copy(prev, labels)
@@ -494,7 +500,12 @@ func KShapeRun(data [][]float64, k int, rng *rand.Rand, opt KShapeOpts) (*Result
 				alignMembers(queries[j], sc, data, idxs, rows)
 				batch.ReleaseScratch(sc)
 			}
-			newC := avg.ShapeExtractionAligned(rows)
+			ws, _ := extractors.Get().(*avg.ShapeWorkspace)
+			if ws == nil {
+				ws = new(avg.ShapeWorkspace)
+			}
+			newC := ws.Extract(rows)
+			extractors.Put(ws)
 			settled[j] = equalFloatBits(newC, centroids[j])
 			centroids[j] = newC
 			if !settled[j] {

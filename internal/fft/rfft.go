@@ -155,8 +155,8 @@ func (p *RFFT) Forward(x []float64, spec, work []complex128) {
 	for k := 0; k <= half; k++ {
 		zk := work[k%half]
 		zc := conj(work[(half-k)%half])
-		even := (zk + zc) / 2
-		odd := (zk - zc) / 2
+		even := halve(zk + zc)
+		odd := halve(zk - zc)
 		odd = complex(imag(odd), -real(odd)) // multiply by -i
 		spec[k] = even + p.tw[k]*odd
 	}
@@ -187,8 +187,8 @@ func (p *RFFT) Inverse(spec []complex128, out []float64, work []complex128) {
 	for k := 0; k < half; k++ {
 		xk := spec[k]
 		xc := conj(spec[half-k])
-		even := (xk + xc) / 2
-		odd := (xk - xc) / 2
+		even := halve(xk + xc)
+		odd := halve(xk - xc)
 		odd *= conj(p.tw[k])                            // W_n^{-k}
 		work[k] = even + complex(-imag(odd), real(odd)) // + i·odd
 	}
@@ -203,6 +203,14 @@ func (p *RFFT) Inverse(spec []complex128, out []float64, work []complex128) {
 		out[2*j+1] = imag(work[j]) * scale
 	}
 }
+
+// halve returns z/2 with one real multiply per component, where the
+// complex division would be lowered to a runtime.complex128div call. For
+// finite z the two agree exactly, except possibly in the sign of a zero
+// component.
+//
+//kshape:hotpath
+func halve(z complex128) complex128 { return complex(real(z)*0.5, imag(z)*0.5) }
 
 // conj avoids pulling math/cmplx into the hot loops for a one-liner.
 //

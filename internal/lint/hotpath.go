@@ -3,8 +3,9 @@ package lint
 // hotpath enforces the kernel contract behind the paper's efficiency
 // claims: a function annotated //kshape:hotpath — the SBD batch/NCC/RFFT
 // kernels, the par reduction inner loops, the assignment/refinement
-// inner loops — must execute without allocating, blocking, or
-// dispatching dynamically, and so must everything it calls. Direct
+// inner loops — must execute without allocating, blocking, dispatching
+// dynamically, or dividing complex numbers (which lowers to a
+// runtime.complex128div call), and so must everything it calls. Direct
 // violations are reported at the offending expression; violations inside
 // un-annotated callees are reported at the call site (the position the
 // annotated function's author controls), with the deep position named in
@@ -20,7 +21,7 @@ import (
 // allocation-free, block-free, statically dispatched execution.
 var HotPathAnalyzer = &Analyzer{
 	Name: "hotpath",
-	Doc:  "//kshape:hotpath functions must not allocate, block, or dispatch dynamically (transitively)",
+	Doc:  "//kshape:hotpath functions must not allocate, block, dispatch dynamically, or divide complex numbers (transitively)",
 	Run:  runHotPath,
 }
 

@@ -13,6 +13,17 @@ func TestHotPathFixture(t *testing.T) {
 	checkFixture(t, "hotpath", "fix/hotpath", []*Analyzer{HotPathAnalyzer})
 }
 
+// TestHotPathCycleFixture: an allocation inside an un-annotated call
+// cycle reaches every annotated root that enters the cycle, in both
+// declaration orders (the closure must not depend on visit order).
+func TestHotPathCycleFixture(t *testing.T) {
+	for _, name := range []string{"hotcycle", "hotcyclerev"} {
+		t.Run(name, func(t *testing.T) {
+			checkFixture(t, name, "fix/"+name, []*Analyzer{HotPathAnalyzer})
+		})
+	}
+}
+
 func TestAtomicInvFixture(t *testing.T) {
 	checkFixture(t, "atomicinv", "fix/atomicinv", []*Analyzer{AtomicInvAnalyzer})
 }

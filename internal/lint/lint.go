@@ -18,8 +18,8 @@
 // package) powering three whole-program analyzers:
 //
 //	hotpath     — //kshape:hotpath functions must not allocate, block,
-//	              or dispatch dynamically, transitively through
-//	              un-annotated callees
+//	              dispatch dynamically, or divide complex numbers,
+//	              transitively through un-annotated callees
 //	atomicinv   — state accessed via sync/atomic must never be accessed
 //	              non-atomically; values published through atomic.Pointer
 //	              must not be mutated after Store

@@ -16,6 +16,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 )
 
@@ -72,7 +73,6 @@ type Program struct {
 	fns        map[*types.Func]*FuncInfo
 	summaries  map[*types.Func]*summary
 	transitive map[*types.Func][]violation
-	visiting   map[*types.Func]bool
 
 	// atomicOps maps field/variable objects accessed through the
 	// function-style sync/atomic API (atomic.AddInt64(&x, ...)) to the
@@ -88,7 +88,6 @@ func NewProgram(fset *token.FileSet, pkgs []*Package) *Program {
 		fns:        map[*types.Func]*FuncInfo{},
 		summaries:  map[*types.Func]*summary{},
 		transitive: map[*types.Func][]violation{},
-		visiting:   map[*types.Func]bool{},
 	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -153,28 +152,99 @@ func (prog *Program) summary(fn *types.Func) *summary {
 // from fn through un-annotated module-local callees: fn's own direct
 // violations plus, recursively, those of every callee that does not
 // carry //kshape:hotpath (annotated callees are trusted here — the
-// analyzer checks them at their own declaration). Cycles contribute
-// nothing beyond their first traversal; results are memoized.
+// analyzer checks them at their own declaration). The closure is built
+// per strongly connected component of that call graph, so every member
+// of a cycle gets the union of the whole cycle's violations whichever
+// member the walk enters first; results are memoized, deduplicated, and
+// in source order.
 func (prog *Program) hotViolations(fn *types.Func) []violation {
 	if vs, ok := prog.transitive[fn]; ok {
 		return vs
 	}
-	if prog.visiting[fn] {
-		return nil
+	w := &sccWalk{prog: prog, index: map[*types.Func]int{}, low: map[*types.Func]int{}, onStack: map[*types.Func]bool{}}
+	w.visit(fn)
+	return prog.transitive[fn]
+}
+
+// hotCallees returns fn's un-annotated module-local callees in call
+// order: the edges the transitive closure follows.
+func (prog *Program) hotCallees(fn *types.Func) []*types.Func {
+	var out []*types.Func
+	for _, cs := range prog.summary(fn).calls {
+		if fi := prog.fns[cs.callee]; fi != nil && !fi.Hot {
+			out = append(out, cs.callee)
+		}
 	}
-	prog.visiting[fn] = true
-	sum := prog.summary(fn)
-	out := append([]violation(nil), sum.direct...)
-	for _, cs := range sum.calls {
-		fi := prog.fns[cs.callee]
-		if fi == nil || fi.Hot {
+	return out
+}
+
+// sccWalk is one run of Tarjan's algorithm over the hot-path call graph,
+// starting from a function with no memoized closure. Functions already in
+// Program.transitive belong to finished components and are not revisited.
+type sccWalk struct {
+	prog       *Program
+	index, low map[*types.Func]int
+	stack      []*types.Func
+	onStack    map[*types.Func]bool
+}
+
+func (w *sccWalk) visit(fn *types.Func) {
+	w.index[fn] = len(w.index)
+	w.low[fn] = w.index[fn]
+	w.stack = append(w.stack, fn)
+	w.onStack[fn] = true
+	for _, c := range w.prog.hotCallees(fn) {
+		if _, done := w.prog.transitive[c]; done {
 			continue
 		}
-		out = append(out, prog.hotViolations(cs.callee)...)
+		if _, seen := w.index[c]; !seen {
+			w.visit(c)
+			w.low[fn] = min(w.low[fn], w.low[c])
+		} else if w.onStack[c] {
+			w.low[fn] = min(w.low[fn], w.index[c])
+		}
 	}
-	delete(prog.visiting, fn)
-	prog.transitive[fn] = out
-	return out
+	if w.low[fn] != w.index[fn] {
+		return
+	}
+	// fn roots a component: pop it, and give every member the union of
+	// the members' direct violations and the closures of the components
+	// they call into (all finished by now).
+	var members []*types.Func
+	for {
+		top := w.stack[len(w.stack)-1]
+		w.stack = w.stack[:len(w.stack)-1]
+		delete(w.onStack, top)
+		members = append(members, top)
+		if top == fn {
+			break
+		}
+	}
+	seen := map[violation]bool{}
+	var out []violation
+	add := func(vs []violation) {
+		for _, v := range vs {
+			if !seen[v] {
+				seen[v] = true
+				out = append(out, v)
+			}
+		}
+	}
+	for _, m := range members {
+		add(w.prog.summary(m).direct)
+		for _, c := range w.prog.hotCallees(m) {
+			add(w.prog.transitive[c])
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].pos != out[j].pos {
+			return out[i].pos < out[j].pos
+		}
+		return out[i].msg < out[j].msg
+	})
+	for _, m := range members {
+		w.prog.transitive[m] = out
+	}
 }
 
 // summarize walks one function body recording direct hot-path violations
@@ -225,6 +295,9 @@ func (prog *Program) summarize(fi *FuncInfo, s *summary) {
 		case *ast.BinaryExpr:
 			if n.Op == token.ADD && isStringType(info.Types[n.X].Type) && info.Types[n].Value == nil {
 				v(n.Pos(), "string concatenation allocates")
+			}
+			if n.Op == token.QUO && isComplexType(info.Types[n].Type) && info.Types[n].Value == nil {
+				v(n.Pos(), complexDivMsg)
 			}
 		case *ast.AssignStmt:
 			checkAssign(info, n, v)
@@ -391,6 +464,9 @@ func checkAssign(info *types.Info, n *ast.AssignStmt, v func(pos token.Pos, form
 	if n.Tok == token.ADD_ASSIGN && isStringType(info.Types[n.Lhs[0]].Type) {
 		v(n.Pos(), "string concatenation allocates")
 	}
+	if n.Tok == token.QUO_ASSIGN && isComplexType(info.Types[n.Lhs[0]].Type) {
+		v(n.Pos(), complexDivMsg)
+	}
 	if n.Tok != token.ASSIGN || len(n.Lhs) != len(n.Rhs) {
 		return
 	}
@@ -529,6 +605,20 @@ func isStringType(t types.Type) bool {
 	}
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsString != 0
+}
+
+// complexDivMsg reports a non-constant complex division: the compiler
+// lowers it to a call of runtime.complex128div (Smith's algorithm with
+// NaN/Inf recovery), an out-of-line call an order of magnitude dearer
+// than the multiply it usually stands in for.
+const complexDivMsg = "complex division calls runtime.complex128div; scale the real and imaginary parts (or multiply by a precomputed reciprocal) instead"
+
+func isComplexType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsComplex != 0
 }
 
 func isSliceType(t types.Type) bool {

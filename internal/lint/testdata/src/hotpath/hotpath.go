@@ -1,6 +1,7 @@
 // Package hotpath seeds every class of //kshape:hotpath contract
 // violation next to the shapes the analyzer must accept: allocation
-// (builtins, literals, boxing, string work), blocking (channels, locks),
+// (builtins, literals, boxing, string work), work that lowers to a runtime
+// call (complex division), blocking (channels, locks),
 // dynamic dispatch, escape heuristics, transitive propagation through
 // un-annotated callees, trust of annotated callees, and reasoned
 // suppression. Un-annotated functions are never checked at their own
@@ -123,6 +124,16 @@ func concat(a, b string) string {
 	c := a + b                // want "\[hotpath\] string concatenation allocates"
 	c += a                    // want "\[hotpath\] string concatenation allocates"
 	return pre + c            // want "\[hotpath\] string concatenation allocates"
+}
+
+//kshape:hotpath
+func complexDiv(z, w complex128, f float64) complex128 {
+	const half = (1 + 2i) / 2              // constant-folded complex division is free
+	a := (z + w) / 2                       // want "\[hotpath\] complex division calls runtime\.complex128div"
+	a /= w                                 // want "\[hotpath\] complex division calls runtime\.complex128div"
+	b := complex(real(z)*0.5, imag(z)*0.5) // component-wise scaling is plain float math
+	c := f / 2                             // real division is a single instruction
+	return a + b + z*w + half + complex(c, 0)
 }
 
 //kshape:hotpath

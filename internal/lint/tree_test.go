@@ -31,7 +31,12 @@ var hotPathHarnesses = map[string]string{
 	"(*kshape/internal/fft.RFFT).Inverse":              "TestRFFTRoundTripAllocFree",
 	"(*kshape/internal/fft.RFFT).transformHalf":        "TestRFFTRoundTripAllocFree",
 	"kshape/internal/fft.conj":                         "TestRFFTRoundTripAllocFree",
+	"kshape/internal/fft.halve":                        "TestRFFTRoundTripAllocFree",
 	"kshape/internal/ts.ShiftInto":                     "TestShiftIntoAllocFree",
+	"(*kshape/internal/linalg.Sym).GramAddRows":        "TestGramAddRowsAllocFree",
+	"(*kshape/internal/linalg.Sym).gramUpper4":         "TestGramAddRowsAllocFree",
+	"(*kshape/internal/linalg.Sym).mirrorUpper":        "TestGramAddRowsAllocFree",
+	"kshape/internal/linalg.gramUpperRow":              "TestGramAddRowsAllocFree",
 	"kshape/internal/par.sumFloatRange":                "TestReductionInnerLoopsAllocFree",
 	"kshape/internal/par.sumFloats":                    "TestReductionInnerLoopsAllocFree",
 	"kshape/internal/par.sumIntRange":                  "TestReductionInnerLoopsAllocFree",

@@ -65,6 +65,7 @@ func TestOracleRegistry(t *testing.T) {
 		"dtw/rolling-vs-fullmatrix",
 		"lbkeogh/bound-chain",
 		"eigen/power-vs-ql",
+		"linalg/gramrows-vs-outer",
 		"shape/power-vs-ql",
 		"par/sum-serial-vs-parallel",
 		"par/minmax-serial-vs-parallel",

@@ -26,9 +26,10 @@ type OraclePair struct {
 
 // Pairs returns the full oracle registry. Every optimized code path in the
 // tree — FFT cross-correlation, the three SBD variants, the shared-spectra
-// batch, banded rolling-row DTW, LB_Keogh, power iteration, shape
-// extraction, and each parallel reduction — has an entry here; the
-// differential test drives each entry across many seeds.
+// batch, banded rolling-row DTW, LB_Keogh, power iteration, the blocked
+// Gram accumulation, shape extraction, and each parallel reduction — has
+// an entry here; the differential test drives each entry across many
+// seeds.
 func Pairs() []OraclePair {
 	return []OraclePair{
 		{
@@ -120,6 +121,12 @@ func Pairs() []OraclePair {
 			Doc:  "power iteration matches Householder+QL on gap-controlled PSD spectra",
 			Tol:  DefaultTol,
 			Run:  runEigen,
+		},
+		{
+			Name: "linalg/gramrows-vs-outer",
+			Doc:  "blocked upper-triangle Sym.GramAddRows is bit-identical to one GramAddOuter per row, for 0-9 rows and rows with exact zeros",
+			Tol:  0,
+			Run:  runGramRows,
 		},
 		{
 			Name: "shape/power-vs-ql",
@@ -699,6 +706,48 @@ func runEigen(g *Gen) error {
 			return err
 		}
 		lam *= ratio
+	}
+	return nil
+}
+
+// gramRowLengths covers the degenerate dimensions 1-3, one full multiple
+// of the mirror tile, and one that leaves a partial tile.
+var gramRowLengths = []int{1, 2, 3, 64, 129}
+
+// runGramRows checks every row count 0..9 (each remainder of the four-row
+// blocking, with and without a full block before it) at every length in
+// gramRowLengths. Rows come from the degenerate-heavy Series pool (zero,
+// constant, spike) with extra exact zeros and negative zeros punched in,
+// so both the fused block loop and its zero-pivot fallback are exercised.
+// Half of the cases start from a nonzero symmetric matrix, since
+// GramAddRows accumulates onto S rather than overwriting it.
+func runGramRows(g *Gen) error {
+	for _, m := range gramRowLengths {
+		for nrows := 0; nrows <= 9; nrows++ {
+			rows := make([][]float64, nrows)
+			for r := range rows {
+				x := g.Series(m)
+				for z := g.Intn(3); z > 0; z-- {
+					x[g.Intn(m)] = 0
+				}
+				if g.Intn(4) == 0 {
+					x[g.Intn(m)] = math.Copysign(0, -1)
+				}
+				rows[r] = x
+			}
+			want := linalg.NewSym(m)
+			if g.Intn(2) == 0 {
+				want.GramAddOuter(g.Series(m))
+			}
+			got := want.Clone()
+			for _, x := range rows {
+				want.GramAddOuter(x)
+			}
+			got.GramAddRows(rows)
+			if err := CheckSlice(fmt.Sprintf("GramAddRows (rows=%d, m=%d)", nrows, m), got.Data, want.Data, 0); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

@@ -538,7 +538,7 @@ func BenchmarkDistanceMatrixSBDRecorder(b *testing.B) {
 func BenchmarkKShapeProgressPublisher(b *testing.B) {
 	data := ts.Rows(dataset.CBF(240, 128, 1))
 	work := func() {
-		if _, err := core.KShapeRun(data, 3, rand.New(rand.NewSource(1)), core.KShapeOpts{Workers: benchParallelWorkers}); err != nil {
+		if _, err := core.Lloyd(data, core.Config{K: 3, Rand: rand.New(rand.NewSource(1)), Workers: benchParallelWorkers}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -584,7 +584,7 @@ func BenchmarkKShapeRefinementSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.KShapeRun(data, 3, rand.New(rand.NewSource(1)), core.KShapeOpts{Workers: 1}); err != nil {
+		if _, err := core.Lloyd(data, core.Config{K: 3, Rand: rand.New(rand.NewSource(1)), Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -596,12 +596,12 @@ func BenchmarkKShapeRefinementParallel(b *testing.B) {
 	data := ts.Rows(dataset.CBF(240, 128, 1))
 	serial, parallel := pairedMinDurations(10,
 		func() {
-			if _, err := core.KShapeRun(data, 3, rand.New(rand.NewSource(1)), core.KShapeOpts{Workers: 1}); err != nil {
+			if _, err := core.Lloyd(data, core.Config{K: 3, Rand: rand.New(rand.NewSource(1)), Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
 		},
 		func() {
-			if _, err := core.KShapeRun(data, 3, rand.New(rand.NewSource(1)), core.KShapeOpts{Workers: benchParallelWorkers}); err != nil {
+			if _, err := core.Lloyd(data, core.Config{K: 3, Rand: rand.New(rand.NewSource(1)), Workers: benchParallelWorkers}); err != nil {
 				b.Fatal(err)
 			}
 		})
@@ -609,7 +609,7 @@ func BenchmarkKShapeRefinementParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.KShapeRun(data, 3, rand.New(rand.NewSource(1)), core.KShapeOpts{Workers: benchParallelWorkers}); err != nil {
+		if _, err := core.Lloyd(data, core.Config{K: 3, Rand: rand.New(rand.NewSource(1)), Workers: benchParallelWorkers}); err != nil {
 			b.Fatal(err)
 		}
 	}

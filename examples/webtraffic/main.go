@@ -96,7 +96,10 @@ func main() {
 	for c := range fresh {
 		fresh[c] = traffic(c, rng)
 	}
-	assigned := kshape.Predict(res.Centroids, fresh, false)
+	assigned, err := kshape.Predict(res.Centroids, fresh, false)
+	if err != nil {
+		panic(err)
+	}
 	for c, cl := range assigned {
 		fmt.Printf("new %q item -> cluster %d\n", patternNames[c], cl)
 	}

@@ -32,8 +32,9 @@ func TestAlignMembersAllocFree(t *testing.T) {
 	}
 }
 
-// TestAssignmentScanAllocFree pins the per-series assignment inner loop
-// (nearestCentroid, with and without a distance-cap row) and the
+// TestAssignmentScanAllocFree pins the SBD assignment scan (assignChunk,
+// with and without a capture matrix), its per-series inner loop
+// (nearestCentroid, with and without a distance-capture row) and the
 // refinement fixed-point helpers at zero allocations.
 func TestAssignmentScanAllocFree(t *testing.T) {
 	data, _ := twoClassShiftedData(12, 64, rand.New(rand.NewSource(22)))
@@ -53,6 +54,17 @@ func TestAssignmentScanAllocFree(t *testing.T) {
 		t.Errorf("nearestCentroid allocates %v per run, want 0", n)
 	}
 	_ = d
+	n := len(data)
+	labels := make([]int, n)
+	assignDist := make([]float64, n)
+	capture := make([][]float64, n)
+	capture[3] = make([]float64, len(queries))
+	if a := testing.AllocsPerRun(50, func() {
+		assignChunk(queries, sc, 0, n, labels, assignDist, capture)
+		assignChunk(queries, sc, 2, n-1, labels, assignDist, nil)
+	}); a != 0 {
+		t.Errorf("assignChunk allocates %v per run, want 0", a)
+	}
 	if n := testing.AllocsPerRun(50, func() {
 		equalFloatBits(data[0], data[1])
 		isAllZero(data[2])

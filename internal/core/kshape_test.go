@@ -142,9 +142,9 @@ func TestLloydValidation(t *testing.T) {
 		t.Errorf("k = 0: %v", err)
 	}
 	bad = good
-	bad.Distance = nil
+	bad.Centroid = nil
 	if _, err := Lloyd(data, bad); err == nil {
-		t.Error("nil distance accepted")
+		t.Error("shape extraction with a per-pair distance accepted")
 	}
 	bad = good
 	bad.Rand = nil
@@ -258,7 +258,12 @@ func TestKShapeInertiaNonNegative(t *testing.T) {
 func TestKShapeDTWRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	data, _ := twoClassShiftedData(8, 24, rng)
-	res, err := KShapeDTW(data, 2, rand.New(rand.NewSource(15)))
+	res, err := Lloyd(data, Config{
+		K:        2,
+		Distance: func(c, x []float64) float64 { return dist.DTW(c, x) },
+		Centroid: avg.ShapeExtraction,
+		Rand:     rand.New(rand.NewSource(15)),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,8 +291,9 @@ func TestLloydMaxIterationsRespected(t *testing.T) {
 }
 
 func TestKShapeSpecializedMatchesGenericLloyd(t *testing.T) {
-	// The optimized batched-FFT implementation must reproduce the generic
-	// engine exactly for the same initial assignment.
+	// k-Shape on the batched SBD backend must reproduce the per-pair
+	// backend running dist.SBDDist and avg.ShapeExtraction for the same
+	// initial assignment.
 	rng := rand.New(rand.NewSource(20))
 	data, _ := twoClassShiftedData(15, 40, rng)
 	init := make([]int, len(data))
@@ -303,7 +309,7 @@ func TestKShapeSpecializedMatchesGenericLloyd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := KShapeInit(data, 3, nil, init)
+	fast, err := Lloyd(data, Config{K: 3, InitialLabels: init})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,22 +333,26 @@ func TestKShapeSpecializedMatchesGenericLloyd(t *testing.T) {
 
 func TestKShapeInitValidation(t *testing.T) {
 	data := [][]float64{{1, 2, 3}, {3, 2, 1}}
-	if _, err := KShapeInit(data, 2, nil, nil); err == nil {
+	kshape := func(data [][]float64, k int, init []int) error {
+		_, err := Lloyd(data, Config{K: k, InitialLabels: init})
+		return err
+	}
+	if err := kshape(data, 2, nil); err == nil {
 		t.Error("nil rng and nil init accepted")
 	}
-	if _, err := KShapeInit(data, 2, nil, []int{0}); err == nil {
+	if err := kshape(data, 2, []int{0}); err == nil {
 		t.Error("short init accepted")
 	}
-	if _, err := KShapeInit(data, 2, nil, []int{0, 5}); err == nil {
+	if err := kshape(data, 2, []int{0, 5}); err == nil {
 		t.Error("out-of-range init accepted")
 	}
-	if _, err := KShapeInit(nil, 1, nil, nil); err == nil {
+	if err := kshape(nil, 1, nil); err == nil {
 		t.Error("empty data accepted")
 	}
-	if _, err := KShapeInit(data, 9, nil, nil); err == nil {
+	if err := kshape(data, 9, nil); err == nil {
 		t.Error("k > n accepted")
 	}
-	if _, err := KShapeInit([][]float64{{1, 2}, {1}}, 2, nil, []int{0, 1}); err == nil {
+	if err := kshape([][]float64{{1, 2}, {1}}, 2, []int{0, 1}); err == nil {
 		t.Error("ragged data accepted")
 	}
 }
@@ -422,7 +432,9 @@ func TestKShapeRunOnIteration(t *testing.T) {
 	data, _ := twoClassShiftedData(25, 64, rng)
 
 	var stats []obs.IterationStats
-	res, err := KShapeRun(data, 2, rand.New(rand.NewSource(5)), KShapeOpts{
+	res, err := Lloyd(data, Config{
+		K:           2,
+		Rand:        rand.New(rand.NewSource(5)),
 		OnIteration: func(s obs.IterationStats) { stats = append(stats, s) },
 	})
 	if err != nil {
@@ -438,7 +450,9 @@ func TestKShapeRunMaxIterationsLimitsCallbacks(t *testing.T) {
 	data, _ := twoClassShiftedData(20, 32, rng)
 
 	calls := 0
-	res, err := KShapeRun(data, 2, rand.New(rand.NewSource(4)), KShapeOpts{
+	res, err := Lloyd(data, Config{
+		K:             2,
+		Rand:          rand.New(rand.NewSource(4)),
 		MaxIterations: 1,
 		OnIteration:   func(obs.IterationStats) { calls++ },
 	})

@@ -27,7 +27,9 @@ func TestKShapeRunPublisherBitIdentical(t *testing.T) {
 		}
 		snap := &runSnapshot{}
 		before := obs.ReadCounters()
-		res, err := KShapeRun(data, 3, rand.New(rand.NewSource(11)), KShapeOpts{
+		res, err := Lloyd(data, Config{
+			K:           3,
+			Rand:        rand.New(rand.NewSource(11)),
 			OnIteration: snap.record,
 			Workers:     workers,
 		})
@@ -60,7 +62,7 @@ func TestKShapeRunPublisherOnlyMatchesUnobserved(t *testing.T) {
 			prevPub := obs.SetProgressPublisher(pub)
 			defer obs.SetProgressPublisher(prevPub)
 		}
-		res, err := KShapeRun(data, 3, rand.New(rand.NewSource(11)), KShapeOpts{Workers: workers})
+		res, err := Lloyd(data, Config{K: 3, Rand: rand.New(rand.NewSource(11)), Workers: workers})
 		if err != nil {
 			t.Fatalf("publish=%v workers=%d: %v", publish, workers, err)
 		}
@@ -133,7 +135,9 @@ func TestKShapeRunPublishedHistoryMatchesTrace(t *testing.T) {
 	defer obs.SetProgressPublisher(prevPub)
 
 	var trace []obs.IterationStats
-	res, err := KShapeRun(data, 3, rand.New(rand.NewSource(11)), KShapeOpts{
+	res, err := Lloyd(data, Config{
+		K:           3,
+		Rand:        rand.New(rand.NewSource(11)),
 		OnIteration: func(st obs.IterationStats) { trace = append(trace, st) },
 		Workers:     2,
 	})
@@ -175,7 +179,9 @@ func TestKShapeRunPublishedHistoryMatchesTrace(t *testing.T) {
 func TestRunObserverSilhouetteRange(t *testing.T) {
 	data, _ := twoClassShiftedData(20, 48, rand.New(rand.NewSource(7)))
 	var trace []obs.IterationStats
-	res, err := KShapeRun(data, 2, rand.New(rand.NewSource(11)), KShapeOpts{
+	res, err := Lloyd(data, Config{
+		K:           2,
+		Rand:        rand.New(rand.NewSource(11)),
 		OnIteration: func(st obs.IterationStats) { trace = append(trace, st) },
 		Workers:     1,
 	})

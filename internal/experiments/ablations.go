@@ -36,6 +36,8 @@ type AblationResult struct {
 //
 // Baseline for the >/=/< comparison columns is the full k-Shape.
 func Ablations(cfg Config) AblationResult {
+	// A nil distance assigns on the engine's batched SBD backend and a nil
+	// centroid refines with shape extraction (core.Config semantics).
 	type variant struct {
 		name     string
 		distance core.DistanceFunc
@@ -48,11 +50,7 @@ func Ablations(cfg Config) AblationResult {
 		}
 	}
 	variants := []variant{
-		{
-			name:     "k-Shape",
-			distance: func(c, x []float64) float64 { return dist.SBDDist(c, x) },
-			centroid: avg.ShapeExtraction,
-		},
+		{name: "k-Shape"},
 		{
 			name:     "k-Shape/NCCu",
 			distance: nccDist(dist.NCCu),
@@ -64,17 +62,12 @@ func Ablations(cfg Config) AblationResult {
 			centroid: avg.ShapeExtraction,
 		},
 		{
-			name:     "k-Shape/no-align",
-			distance: func(c, x []float64) float64 { return dist.SBDDist(c, x) },
+			name: "k-Shape/no-align",
 			centroid: func(members [][]float64, prev []float64) []float64 {
 				return avg.ShapeExtraction(members, nil) // never align
 			},
 		},
-		{
-			name:     "k-AVG+SBD",
-			distance: func(c, x []float64) float64 { return dist.SBDDist(c, x) },
-			centroid: avg.MeanAverager{}.Average,
-		},
+		{name: "k-AVG+SBD", centroid: avg.MeanAverager{}.Average},
 	}
 
 	rows := make([]ClusterRow, len(variants))

@@ -41,6 +41,7 @@ var hotPathHarnesses = map[string]string{
 	"kshape/internal/par.sumFloats":                    "TestReductionInnerLoopsAllocFree",
 	"kshape/internal/par.sumIntRange":                  "TestReductionInnerLoopsAllocFree",
 	"kshape/internal/par.scanExtreme":                  "TestReductionInnerLoopsAllocFree",
+	"kshape/internal/core.assignChunk":                 "TestAssignmentScanAllocFree",
 	"kshape/internal/core.nearestCentroid":             "TestAssignmentScanAllocFree",
 	"kshape/internal/core.alignMembers":                "TestAlignMembersAllocFree",
 	"kshape/internal/core.equalFloatBits":              "TestAssignmentScanAllocFree",

@@ -121,16 +121,8 @@ func Cluster(data [][]float64, k int, opts Options) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("kshape: unknown method %q (see kshape.Methods)", name)
 	}
-	m := len(data[0])
-	for i, x := range data {
-		if len(x) != m {
-			return nil, fmt.Errorf("kshape: series %d has length %d, want %d (all series must be equal-length)", i, len(x), m)
-		}
-		for j, v := range x {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("kshape: series %d has a non-finite value at position %d", i, j)
-			}
-		}
+	if err := checkRows("series", data, len(data[0])); err != nil {
+		return nil, err
 	}
 	prepared := data
 	if !opts.SkipNormalization {
@@ -440,27 +432,50 @@ func Classify1NNWorkers(train [][]float64, labels []int, queries [][]float64, me
 // enabling out-of-sample extension of a clustering. Queries are
 // z-normalized first unless skipNormalization. Queries run in parallel
 // across all CPUs; the assignment is deterministic regardless.
-func Predict(centroids [][]float64, queries [][]float64, skipNormalization bool) []int {
-	if len(centroids) > 0 && len(centroids[0]) > 0 {
-		// Batch path: the centroid spectra are cached once and every query
-		// costs one forward transform; same tie-break as NNIndex.
-		qs := queries
-		if !skipNormalization {
-			qs = make([][]float64, len(queries))
-			for i, q := range queries {
-				qs[i] = ts.ZNormalize(q)
+//
+// Like Cluster, Predict rejects bad input with an error instead of
+// panicking or returning a meaningless label: there must be at least one
+// centroid, every centroid and query must share the centroids' (nonzero)
+// length, and every value must be finite. Centroids from methods that have
+// none (spectral clustering, Features+k-means) are therefore rejected.
+func Predict(centroids [][]float64, queries [][]float64, skipNormalization bool) ([]int, error) {
+	if len(centroids) == 0 {
+		return nil, errors.New("kshape: no centroids")
+	}
+	m := len(centroids[0])
+	if m == 0 {
+		return nil, errors.New("kshape: centroids are empty series")
+	}
+	if err := checkRows("centroid", centroids, m); err != nil {
+		return nil, err
+	}
+	if err := checkRows("query", queries, m); err != nil {
+		return nil, err
+	}
+	// The centroid spectra are cached once and every query costs one
+	// forward transform; same tie-break as NNIndex.
+	qs := queries
+	if !skipNormalization {
+		qs = make([][]float64, len(queries))
+		for i, q := range queries {
+			qs[i] = ts.ZNormalize(q)
+		}
+	}
+	return dist.SBDNearest(centroids, qs, 0), nil
+}
+
+// checkRows reports the first row of rows whose length is not m or that
+// holds a NaN or an infinity.
+func checkRows(what string, rows [][]float64, m int) error {
+	for i, x := range rows {
+		if len(x) != m {
+			return fmt.Errorf("kshape: %s %d has length %d, want %d", what, i, len(x), m)
+		}
+		for j, v := range x {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("kshape: %s %d has a non-finite value at position %d", what, i, j)
 			}
 		}
-		return dist.SBDNearest(centroids, qs, 0)
 	}
-	out := make([]int, len(queries))
-	par.For(0, len(queries), func(i int) {
-		q := queries[i]
-		if !skipNormalization {
-			q = ts.ZNormalize(q)
-		}
-		idx, _ := dist.NNIndex(dist.SBDMeasure{}, q, centroids)
-		out[i] = idx
-	})
-	return out
+	return nil
 }

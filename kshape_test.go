@@ -192,7 +192,10 @@ func TestPredict(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Predicting the training data must agree with the fitted labels.
-	pred := Predict(res.Centroids, data, false)
+	pred, err := Predict(res.Centroids, data, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	agree := 0
 	for i := range pred {
 		if pred[i] == res.Labels[i] {
@@ -204,11 +207,50 @@ func TestPredict(t *testing.T) {
 	}
 	// Fresh queries should land in shape-consistent clusters.
 	fresh, freshTruth := twoShapeClasses(10, 48, 13)
-	fp := Predict(res.Centroids, fresh, false)
+	fp, err := Predict(res.Centroids, fresh, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p := purity(fp, freshTruth, 2); p < 0.85 {
 		t.Errorf("out-of-sample purity = %v", p)
 	}
 	_ = truth
+	// No queries is not an error.
+	if none, err := Predict(res.Centroids, nil, false); err != nil || len(none) != 0 {
+		t.Errorf("Predict with no queries = %v, %v; want [], nil", none, err)
+	}
+}
+
+// TestPredictRejectsBadInput: every malformed input is an error, never a
+// panic or a label of -1.
+func TestPredictRejectsBadInput(t *testing.T) {
+	good := [][]float64{{0, 1, 0, -1}, {1, 0, -1, 0}}
+	query := [][]float64{{0, 1, 2, 1}}
+	cases := []struct {
+		name      string
+		centroids [][]float64
+		queries   [][]float64
+	}{
+		{"no centroids", nil, query},
+		{"empty centroids", [][]float64{{}, {}}, [][]float64{{}}},
+		{"ragged centroids", [][]float64{{0, 1, 0, -1}, {1, 0, -1}}, query},
+		{"short query", good, [][]float64{{0, 1, 2}}},
+		{"long query", good, [][]float64{{0, 1, 2, 1, 0}}},
+		{"NaN query", good, [][]float64{{0, math.NaN(), 2, 1}}},
+		{"Inf query", good, [][]float64{{0, 1, math.Inf(-1), 1}}},
+		{"NaN centroid", [][]float64{{0, 1, 0, -1}, {1, math.NaN(), -1, 0}}, query},
+		{"Inf centroid", [][]float64{{math.Inf(1), 1, 0, -1}, {1, 0, -1, 0}}, query},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, skip := range []bool{false, true} {
+				got, err := Predict(c.centroids, c.queries, skip)
+				if err == nil {
+					t.Errorf("skipNormalization=%v: accepted, labels %v", skip, got)
+				}
+			}
+		})
+	}
 }
 
 func TestClusterMaxIterations(t *testing.T) {

@@ -1,16 +1,20 @@
 package kshape
 
 import (
+	"math"
 	"testing"
 )
+
+// iterativeMethods are the methods that run the refinement engine.
+var iterativeMethods = []string{"k-Shape", "k-AVG+ED", "k-AVG+SBD", "k-AVG+DTW", "k-DBA", "KSC", "k-Shape+DTW"}
 
 // TestClusterDeterministicAcrossWorkers pins the public-API contract stated
 // on Options.Workers: for a fixed Seed, every worker count yields
 // bit-identical labels, centroids, inertia, and iteration counts — across
-// the scalable and non-scalable method families.
+// every iterative method and the non-scalable method families.
 func TestClusterDeterministicAcrossWorkers(t *testing.T) {
 	data, _ := twoShapeClasses(12, 40, 3)
-	for _, method := range []string{"k-Shape", "k-AVG+ED", "PAM+SBD", "S+ED"} {
+	for _, method := range append([]string{"PAM+SBD", "S+ED"}, iterativeMethods...) {
 		run := func(workers int) *Result {
 			res, err := Cluster(data, 2, Options{Seed: 5, Method: method, Workers: workers})
 			if err != nil {
@@ -44,38 +48,52 @@ func TestClusterDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestClusterTraceDeterministicAcrossWorkers extends the guarantee to the
-// instrumented path: the per-iteration inertia/churn trajectory and the
-// kernel-counter totals must not depend on the worker count (only the
-// wall-clock fields may).
+// instrumented path of every iterative method: labels, centroids, the
+// per-iteration inertia/churn trajectory and the kernel-counter totals
+// must not depend on the worker count (only the wall-clock fields may).
 func TestClusterTraceDeterministicAcrossWorkers(t *testing.T) {
 	data, _ := twoShapeClasses(10, 32, 7)
-	run := func(workers int) *Result {
-		res, err := Cluster(data, 2, Options{Seed: 2, CollectTrace: true, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if res.Trace == nil {
-			t.Fatalf("workers=%d: no trace collected", workers)
-		}
-		return res
-	}
-	want := run(1)
-	for _, w := range []int{2, 8} {
-		got := run(w)
-		if len(got.Trace.Iterations) != len(want.Trace.Iterations) {
-			t.Fatalf("workers=%d: %d trace iterations, want %d",
-				w, len(got.Trace.Iterations), len(want.Trace.Iterations))
-		}
-		for i := range want.Trace.Iterations {
-			wi, gi := want.Trace.Iterations[i], got.Trace.Iterations[i]
-			if gi.Inertia != wi.Inertia || gi.LabelChurn != wi.LabelChurn || gi.Reseeds != wi.Reseeds {
-				t.Errorf("workers=%d: trace[%d] inertia/churn/reseeds = %v/%d/%d, want %v/%d/%d",
-					w, i, gi.Inertia, gi.LabelChurn, gi.Reseeds, wi.Inertia, wi.LabelChurn, wi.Reseeds)
+	for _, method := range iterativeMethods {
+		run := func(workers int) *Result {
+			res, err := Cluster(data, 2, Options{Seed: 2, Method: method, CollectTrace: true, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", method, workers, err)
 			}
+			if res.Trace == nil {
+				t.Fatalf("%s workers=%d: no trace collected", method, workers)
+			}
+			return res
 		}
-		if got.Trace.Counters != want.Trace.Counters {
-			t.Errorf("workers=%d: kernel counters %+v, want %+v (parallelism must not change operation counts)",
-				w, got.Trace.Counters, want.Trace.Counters)
+		want := run(1)
+		for _, w := range []int{2, 8} {
+			got := run(w)
+			for i := range want.Labels {
+				if got.Labels[i] != want.Labels[i] {
+					t.Fatalf("%s workers=%d: label[%d] = %d, want %d", method, w, i, got.Labels[i], want.Labels[i])
+				}
+			}
+			for j := range want.Centroids {
+				for i := range want.Centroids[j] {
+					if math.Float64bits(got.Centroids[j][i]) != math.Float64bits(want.Centroids[j][i]) {
+						t.Fatalf("%s workers=%d: centroid[%d][%d] differs (must be bit-identical)", method, w, j, i)
+					}
+				}
+			}
+			if len(got.Trace.Iterations) != len(want.Trace.Iterations) {
+				t.Fatalf("%s workers=%d: %d trace iterations, want %d",
+					method, w, len(got.Trace.Iterations), len(want.Trace.Iterations))
+			}
+			for i := range want.Trace.Iterations {
+				wi, gi := want.Trace.Iterations[i], got.Trace.Iterations[i]
+				if gi.Inertia != wi.Inertia || gi.LabelChurn != wi.LabelChurn || gi.Reseeds != wi.Reseeds {
+					t.Errorf("%s workers=%d: trace[%d] inertia/churn/reseeds = %v/%d/%d, want %v/%d/%d",
+						method, w, i, gi.Inertia, gi.LabelChurn, gi.Reseeds, wi.Inertia, wi.LabelChurn, wi.Reseeds)
+				}
+			}
+			if got.Trace.Counters != want.Trace.Counters {
+				t.Errorf("%s workers=%d: kernel counters %+v, want %+v (parallelism must not change operation counts)",
+					method, w, got.Trace.Counters, want.Trace.Counters)
+			}
 		}
 	}
 }

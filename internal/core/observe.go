@@ -11,7 +11,7 @@ import (
 	"kshape/internal/ts"
 )
 
-// This file holds the engines' per-iteration observation layer: the
+// This file holds the engine's per-iteration observation layer: the
 // runObserver fuses the OnIteration callback, debug-level structured
 // logging, and live progress publication into one hook, and computes the
 // quality trajectory (inertia delta, per-cluster centroid drift, sampled
@@ -33,7 +33,7 @@ const silhouetteSampleSeed = 0x5eed5eed
 
 // runObserver computes and fans out per-iteration statistics. A nil
 // *runObserver is the disabled state: every method is nil-safe and
-// free, preserving the engines' "no bookkeeping unless observed"
+// free, preserving the engine's "no bookkeeping unless observed"
 // property.
 type runObserver struct {
 	onIter   func(obs.IterationStats)

@@ -10,7 +10,6 @@
 package kshape
 
 import (
-	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -159,7 +158,6 @@ func BenchmarkFig11Values01(b *testing.B) {
 
 func BenchmarkFig12ScalabilityVaryN(b *testing.B) {
 	cfg := benchConfig(b, "TinyWaves")
-	cfg.Progress = io.Discard
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		experiments.Fig12Sizes(cfg, []int{120, 240}, 64, nil, 0)
@@ -168,7 +166,6 @@ func BenchmarkFig12ScalabilityVaryN(b *testing.B) {
 
 func BenchmarkFig12ScalabilityVaryM(b *testing.B) {
 	cfg := benchConfig(b, "TinyWaves")
-	cfg.Progress = io.Discard
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		experiments.Fig12Sizes(cfg, nil, 0, []int{32, 64}, 120)

@@ -4,7 +4,8 @@
 // Usage:
 //
 //	kbench [-datasets N] [-runs R] [-spectral-runs S] [-seed X] [-v]
-//	       [-metrics out.json] [-cpuprofile cpu.out] [-memprofile mem.out]
+//	       [-workers W] [-report run.json] [-timeline run.svg]
+//	       [-cpuprofile cpu.out] [-memprofile mem.out]
 //	       [-listen :9090] [-log-level info] [-log-json] [-version]
 //	       <experiment>...
 //
@@ -16,12 +17,16 @@
 // figure experiments print the series/CSV data behind each plot. See
 // EXPERIMENTS.md for the paper-vs-measured comparison.
 //
-// -metrics writes a structured JSON report of the run: kernel counters (FFT
-// transforms, SBD/ED/DTW evaluations, eigensolver iterations), hierarchical
-// phase timings, and one record per (method, dataset) unit of work,
-// including per-iteration inertia/churn trajectories for the iterative
-// clustering methods. -cpuprofile/-memprofile capture runtime/pprof
-// profiles of the same run.
+// -report writes the run report (kshape.runreport/v1, shared with the
+// other CLIs): kernel counters, phase histograms, per-worker attribution,
+// runtime samples and the event timeline, plus one span per experiment
+// and one record per (method, dataset, run) unit of work — its score, wall
+// time and, for the iterative clustering methods, per-iteration
+// inertia/churn trajectory. Table 2 records and Table 4's matrix-method
+// records always carry their kernel-counter delta; the records of the
+// iterative methods' dataset-parallel sweeps carry one only with
+// -workers 1, because the counters are process-global.
+// -cpuprofile/-memprofile capture runtime/pprof profiles of the same run.
 //
 // -listen ADDR serves live telemetry while the experiments execute:
 // /metrics (Prometheus text format, including live-progress gauges),
@@ -41,7 +46,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 
 	"kshape/internal/cli"
@@ -82,10 +86,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	seed := fs.Int64("seed", 1, "base random seed")
 	verbose := fs.Bool("v", false, "log one structured progress record per completed unit of work to stderr")
 	svgDir := fs.String("svgdir", "", "also write the scatter/rank/runtime figures as SVG files into this directory")
-	metricsPath := fs.String("metrics", "", "write a JSON metrics report (kernel counters, phase timings, per-run records) to this file")
 	cpuProfile := fs.String("cpuprofile", "", "write a runtime/pprof CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a runtime/pprof heap profile to this file at exit")
-	workers := fs.Int("workers", runtime.NumCPU(), "max concurrent dataset workers per sweep (1 = serial; results are identical for any value; ignored with -metrics, which runs serially so counter deltas stay attributable to one run)")
+	workers := fs.Int("workers", runtime.NumCPU(), "max concurrent dataset workers per sweep (1 = serial; results are identical for any value; with -report, 1 also gives every clustering run record its own kernel-counter delta)")
 	var common cli.Common
 	common.Register(fs)
 	common.RegisterListen(fs)
@@ -104,19 +107,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if fs.NArg() == 0 {
 		return fmt.Errorf("no experiment named; choose from: %s, all", strings.Join(experimentNames, " "))
 	}
-	// -metrics forces serial sweeps for counter attribution; warn when the
-	// user explicitly asked for parallelism that will be ignored.
-	workersSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "workers" {
-			workersSet = true
-		}
-	})
-	if *metricsPath != "" && workersSet && *workers > 1 {
-		logger.Warn("-metrics runs dataset sweeps serially so per-run counter deltas stay attributable; explicit -workers is ignored",
-			"workers", *workers)
-	}
-
 	cfg := experiments.ReducedConfig(*nDatasets)
 	cfg.Runs = *runs
 	cfg.SpectralRuns = *spectralRuns
@@ -165,28 +155,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 		defer pprof.StopCPUProfile()
 	}
 
-	// With -metrics, enable the kernel counters for the duration of the
-	// run and collect per-run records plus a phase-span trace.
-	var collector *obs.Collector
-	var trace *obs.Trace
-	var countersBefore obs.Counters
-	if *metricsPath != "" {
-		collector = obs.NewCollector()
-		cfg.Metrics = collector
-		prev := obs.SetEnabled(true)
-		defer obs.SetEnabled(prev)
-		countersBefore = obs.ReadCounters()
-		trace = obs.NewTrace("kbench")
-	}
-	// phase wraps one experiment's computation in a trace span and
-	// propagates the write error of any report the body renders.
+	// phase records one experiment's computation as a span of the run
+	// report and propagates the write error of any report the body
+	// renders.
 	phase := func(name string, fn func() error) error {
-		if trace == nil {
+		rec := obs.ActiveRecorder()
+		if rec == nil {
 			return fn()
 		}
-		sp := trace.Root().Child(name)
+		start := rec.NowNS()
 		err := fn()
-		sp.End()
+		rec.RecordExperiment(obs.ExperimentSpan{Name: name, StartNS: start, DurationNS: rec.NowNS() - start})
 		return err
 	}
 
@@ -446,27 +425,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	if *metricsPath != "" {
-		names := make([]string, 0, len(want))
-		for e := range want {
-			names = append(names, e)
-		}
-		sort.Strings(names)
-		report := collector.BuildReport("kbench", args, names,
-			obs.ReadCounters().Sub(countersBefore), trace.Finish())
-		f, err := os.Create(*metricsPath)
-		if err != nil {
-			return fmt.Errorf("metrics: %w", err)
-		}
-		if err := report.WriteJSON(f); err != nil {
-			_ = f.Close() // surfacing the write error matters more
-			return fmt.Errorf("metrics: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("metrics: %w", err)
-		}
-		logger.Info("wrote metrics report", "path", *metricsPath)
-	}
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {

@@ -83,18 +83,19 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestRunMetricsReport is the acceptance check for -metrics: a reduced
-// table2+table3 run must produce a JSON report with per-method kernel
-// counters, phase spans, and per-iteration convergence trajectories for the
-// iterative clustering methods.
+// TestRunMetricsReport is the acceptance check for the serial run
+// report: a reduced table2+table3 run with -workers 1 -report must produce
+// a valid report with per-method kernel counters, experiment spans, and
+// per-iteration convergence trajectories for the iterative clustering
+// methods.
 func TestRunMetricsReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full table2+table3 sweep is slow")
 	}
-	path := filepath.Join(t.TempDir(), "metrics.json")
+	path := filepath.Join(t.TempDir(), "run.json")
 	var out, errBuf bytes.Buffer
 	err := run([]string{"-datasets", "1", "-runs", "1", "-spectral-runs", "1",
-		"-metrics", path, "table2", "table3"}, &out, &errBuf)
+		"-workers", "1", "-report", path, "table2", "table3"}, &out, &errBuf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,17 +104,15 @@ func TestRunMetricsReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var report obs.Report
+	var report obs.RunReport
 	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatalf("metrics file is not valid report JSON: %v", err)
+		t.Fatalf("report file is not valid JSON: %v", err)
 	}
-
+	if err := report.Validate(); err != nil {
+		t.Fatalf("report fails schema validation: %v", err)
+	}
 	if report.Tool != "kbench" {
 		t.Errorf("tool = %q, want kbench", report.Tool)
-	}
-	if want := []string{"table2", "table3"}; len(report.Experiments) != 2 ||
-		report.Experiments[0] != want[0] || report.Experiments[1] != want[1] {
-		t.Errorf("experiments = %v, want %v", report.Experiments, want)
 	}
 
 	// Global counters: table2 exercises ED, DTW and the FFT-backed SBD;
@@ -123,26 +122,29 @@ func TestRunMetricsReport(t *testing.T) {
 		t.Errorf("expected nonzero fft/sbd/ed/dtw/eigen counters, got %+v", c)
 	}
 
-	// Phase spans for both experiments, with real durations.
-	if report.Phases == nil {
-		t.Fatal("report has no phase spans")
+	// One experiment span per experiment, with real durations.
+	if len(report.Experiments) != 2 {
+		t.Fatalf("experiments = %+v, want table2 and table3", report.Experiments)
 	}
-	for _, name := range []string{"table2", "table3"} {
-		sp := report.Phases.Find(name)
-		if sp == nil {
-			t.Errorf("no phase span %q", name)
-			continue
+	for i, name := range []string{"table2", "table3"} {
+		sp := report.Experiments[i]
+		if sp.Name != name {
+			t.Errorf("experiment %d named %q, want %q", i, sp.Name, name)
 		}
 		if sp.DurationNS <= 0 {
-			t.Errorf("phase %q has duration %d", name, sp.DurationNS)
+			t.Errorf("experiment %q has duration %d", name, sp.DurationNS)
 		}
 	}
 
-	// Per-run records from both score kinds.
+	// Per-run records from both score kinds, each with its own counter
+	// delta because the sweep ran serially.
 	kinds := map[string]bool{}
 	perMethod := map[string]obs.Counters{}
 	var kshapeRuns []obs.RunRecord
 	for _, r := range report.Runs {
+		if r.Counters == nil {
+			t.Fatalf("%s on %s: no counter delta with -workers 1", r.Method, r.Dataset)
+		}
 		kinds[r.ScoreKind] = true
 		agg := perMethod[r.Method]
 		perMethod[r.Method] = obs.Counters{
@@ -155,7 +157,7 @@ func TestRunMetricsReport(t *testing.T) {
 			kshapeRuns = append(kshapeRuns, r)
 		}
 	}
-	if !kinds["accuracy_1nn"] || !kinds["rand_index"] {
+	if !kinds[obs.ScoreAccuracy1NN] || !kinds[obs.ScoreRandIndex] {
 		t.Errorf("score kinds = %v, want both accuracy_1nn and rand_index", kinds)
 	}
 	if perMethod["SBD"].SBD == 0 {
@@ -186,6 +188,15 @@ func TestRunMetricsReport(t *testing.T) {
 		if r.Counters.FFT == 0 {
 			t.Errorf("k-Shape run on %s recorded no FFT work", r.Dataset)
 		}
+	}
+}
+
+// TestRunMetricsFlagRemoved: the run report is kbench's only report.
+func TestRunMetricsFlagRemoved(t *testing.T) {
+	var out, errBuf bytes.Buffer
+	err := run([]string{"-metrics", "x.json", "fig2"}, &out, &errBuf)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("-metrics accepted: %v", err)
 	}
 }
 

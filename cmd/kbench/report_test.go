@@ -76,6 +76,25 @@ func TestRunFlightReport(t *testing.T) {
 		t.Error("report carries no flight-recorder events")
 	}
 
+	// The clustering sweeps ran in parallel, so their records carry
+	// trajectories but no counter deltas: a delta would mix in the work
+	// of concurrent runs.
+	if len(rep.Runs) == 0 {
+		t.Fatal("report carries no run records")
+	}
+	for _, r := range rep.Runs {
+		if r.ScoreKind != obs.ScoreRandIndex || len(r.Trajectory) == 0 {
+			t.Errorf("%s on %s: score kind %q, %d trajectory entries",
+				r.Method, r.Dataset, r.ScoreKind, len(r.Trajectory))
+		}
+		if r.Counters != nil {
+			t.Errorf("%s on %s: counter delta %+v from a parallel sweep", r.Method, r.Dataset, *r.Counters)
+		}
+	}
+	if len(rep.Experiments) != 1 || rep.Experiments[0].Name != "table3" {
+		t.Errorf("experiments = %+v, want one table3 span", rep.Experiments)
+	}
+
 	svg, err := os.ReadFile(timelinePath)
 	if err != nil {
 		t.Fatal(err)

@@ -38,7 +38,7 @@ func TestBuildSwapFindsBlobs(t *testing.T) {
 	if len(medoids) != 3 {
 		t.Fatalf("medoids = %v", medoids)
 	}
-	labels := AssignToMedoids(d, medoids)
+	labels := assignToMedoids(d, medoids)
 	if p := purity(labels, truth, 3); p != 1 {
 		t.Errorf("purity = %v, want 1 on separated blobs", p)
 	}
@@ -144,101 +144,18 @@ func TestBuildSwapKEqualsN(t *testing.T) {
 	}
 }
 
-func TestDendrogramStructure(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	data, truth := threeBlobs(6, 16, rng)
-	d := dist.PairwiseMatrix(dist.EDMeasure{}, data)
-	h := NewHierarchical(AverageLinkage, dist.EDMeasure{})
-	dg, err := h.Dendrogram(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := len(data)
-	if dg.N != n || len(dg.Merges) != n-1 {
-		t.Fatalf("dendrogram shape: N=%d merges=%d", dg.N, len(dg.Merges))
-	}
-	// The final merge must contain all observations.
-	if dg.Merges[n-2].Size != n {
-		t.Errorf("final merge size = %d, want %d", dg.Merges[n-2].Size, n)
-	}
-	// Cutting at k=3 must match ClusterWithMatrix labels up to relabeling.
-	cut, err := dg.Cut(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := h.ClusterWithMatrix(data, d, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !samePartition(cut, direct.Labels) {
-		t.Error("dendrogram cut disagrees with direct clustering")
-	}
-	if p := purity(cut, truth, 3); p < 0.9 {
-		t.Errorf("cut purity = %v", p)
-	}
-	// Heights of single/complete/average linkage are monotone for these
-	// reducible linkages.
-	heights := dg.Heights()
-	for i := 1; i < len(heights); i++ {
-		if heights[i] < heights[i-1]-1e-9 {
-			t.Errorf("heights not monotone at %d: %v < %v", i, heights[i], heights[i-1])
-		}
-	}
-}
-
-func TestDendrogramCutExtremes(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	data, _ := threeBlobs(3, 8, rng)
-	d := dist.PairwiseMatrix(dist.EDMeasure{}, data)
-	h := NewHierarchical(CompleteLinkage, dist.EDMeasure{})
-	dg, err := h.Dendrogram(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, err := dg.Cut(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, l := range all {
-		if l != 0 {
-			t.Fatalf("k=1 cut = %v", all)
-		}
-	}
-	singletons, err := dg.Cut(len(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[int]bool{}
-	for _, l := range singletons {
-		seen[l] = true
-	}
-	if len(seen) != len(data) {
-		t.Errorf("k=n cut should be singletons: %v", singletons)
-	}
-	if _, err := dg.Cut(0); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := dg.Cut(len(data) + 1); err == nil {
-		t.Error("k>n accepted")
-	}
-}
-
-// samePartition reports whether two labelings induce the same partition.
-func samePartition(a, b []int) bool {
-	mapping := map[int]int{}
-	reverse := map[int]int{}
-	for i := range a {
-		if m, ok := mapping[a[i]]; ok {
-			if m != b[i] {
-				return false
+// assignToMedoids labels every point with the index (in medoids) of its
+// nearest medoid.
+func assignToMedoids(d [][]float64, medoids []int) []int {
+	labels := make([]int, len(d))
+	for i := range d {
+		best, bestJ := math.Inf(1), 0
+		for j, m := range medoids {
+			if d[i][m] < best {
+				best, bestJ = d[i][m], j
 			}
-		} else {
-			if _, ok := reverse[b[i]]; ok {
-				return false
-			}
-			mapping[a[i]] = b[i]
-			reverse[b[i]] = a[i]
 		}
+		labels[i] = bestJ
 	}
-	return true
+	return labels
 }

@@ -130,8 +130,7 @@ func finishRow(row *ClusterRow, baseline ClusterRow) {
 
 // runClusterer evaluates one scalable clusterer across all datasets,
 // averaging the Rand Index over runs random restarts. Datasets execute in
-// parallel (serially when Config.Metrics is set, so counter deltas stay
-// attributable to one run); seeding is deterministic per (dataset, run).
+// parallel; seeding is deterministic per (dataset, run).
 func runClusterer(cfg Config, c cluster.Clusterer, runs int) ClusterRow {
 	datasets := cfg.Datasets
 	row := ClusterRow{Name: c.Name(), RandIndexes: make([]float64, len(datasets))}
@@ -139,7 +138,7 @@ func runClusterer(cfg Config, c cluster.Clusterer, runs int) ClusterRow {
 		runs = 1
 	}
 	sw := obs.NewStopwatch()
-	evalDataset := func(d int) {
+	cfg.parallelOver(len(datasets), func(d int) {
 		ds := datasets[d]
 		data := ts.Rows(ds.All())
 		truth := ts.Labels(ds.All())
@@ -160,28 +159,21 @@ func runClusterer(cfg Config, c cluster.Clusterer, runs int) ClusterRow {
 		if count > 0 {
 			row.RandIndexes[d] = sum / float64(count)
 		}
-	}
-	if cfg.Metrics != nil {
-		for d := range datasets {
-			evalDataset(d)
-		}
-	} else {
-		cfg.parallelOver(len(datasets), evalDataset)
-	}
+	})
 	row.Runtime = sw.Elapsed()
 	cfg.progress("clustering sweep done", "method", c.Name(), "seconds", row.Runtime.Seconds(), "avg_rand_index", Mean(row.RandIndexes))
 	return row
 }
 
-// observedRun executes one clustering run, recording a RunRecord (wall
-// time, Rand Index, counter delta, iteration trajectory) when metrics
-// collection is on. It returns the run's Rand Index.
+// observedRun executes one clustering run and returns its Rand Index.
+// With a flight recorder installed it also records a RunRecord (wall
+// time, Rand Index, iteration trajectory), which carries the run's
+// kernel-counter delta only when the sweep is serial: the counters are
+// process-global, so a delta taken while other runs execute would mix
+// their work in. Individual runs always execute serially (Workers: 1);
+// the sweep parallelizes across datasets.
 func observedRun(cfg Config, c cluster.Clusterer, data [][]float64, truth []int, dsName string, k, run int, rng *rand.Rand) (float64, bool) {
-	// Individual runs stay serial (Workers: 1): without Metrics the sweep
-	// already parallelizes across datasets, and with Metrics a serial run
-	// keeps the counter deltas and per-phase timings attributable to one
-	// run at a time.
-	if cfg.Metrics == nil {
+	if obs.ActiveRecorder() == nil {
 		res, err := cluster.Run(c, data, k, rng, cluster.Opts{Workers: 1})
 		if err != nil {
 			return 0, false
@@ -199,17 +191,22 @@ func observedRun(cfg Config, c cluster.Clusterer, data [][]float64, truth []int,
 	if err != nil {
 		return 0, false
 	}
+	var counters *obs.Counters
+	if par.Resolve(cfg.Workers) == 1 {
+		delta := obs.ReadCounters().Sub(before)
+		counters = &delta
+	}
 	ri := eval.RandIndex(res.Labels, truth)
-	cfg.Metrics.Record(obs.RunRecord{
+	obs.RecordRun(obs.RunRecord{
 		Method:     c.Name(),
 		Dataset:    dsName,
 		Run:        run,
 		Seconds:    elapsed.Seconds(),
 		Score:      ri,
-		ScoreKind:  "rand_index",
+		ScoreKind:  obs.ScoreRandIndex,
 		Iterations: res.Iterations,
 		Converged:  res.Converged,
-		Counters:   obs.ReadCounters().Sub(before),
+		Counters:   counters,
 		Trajectory: traj,
 	})
 	return ri, true
@@ -273,12 +270,8 @@ func runMatrixClusterer(cfg Config, job matrixJob) ClusterRow {
 	for d, ds := range datasets {
 		data := ts.Rows(ds.All())
 		truth := ts.Labels(ds.All())
-		var countersBefore obs.Counters
-		var dsSW obs.Stopwatch
-		if cfg.Metrics != nil {
-			countersBefore = obs.ReadCounters()
-			dsSW = obs.NewStopwatch()
-		}
+		countersBefore := obs.ReadCounters()
+		dsSW := obs.NewStopwatch()
 		dm := cachedMatrix(ds.Name, job.measure, data)
 		switch job.kind {
 		case jobHierarchical:
@@ -322,17 +315,19 @@ func runMatrixClusterer(cfg Config, job matrixJob) ClusterRow {
 				row.RandIndexes[d] = sum / float64(count)
 			}
 		}
-		if cfg.Metrics != nil {
+		if obs.ActiveRecorder() != nil {
 			// Matrix methods have no refinement loop to trace; the record
 			// carries wall time (including any matrix build this method
-			// triggered first) and the kernel-counter delta.
-			cfg.Metrics.Record(obs.RunRecord{
+			// triggered first) and the kernel-counter delta, exact at
+			// every worker count because datasets run one at a time.
+			counters := obs.ReadCounters().Sub(countersBefore)
+			obs.RecordRun(obs.RunRecord{
 				Method:    job.name,
 				Dataset:   ds.Name,
 				Seconds:   dsSW.Seconds(),
 				Score:     row.RandIndexes[d],
-				ScoreKind: "rand_index",
-				Counters:  obs.ReadCounters().Sub(countersBefore),
+				ScoreKind: obs.ScoreRandIndex,
+				Counters:  &counters,
 			})
 		}
 	}

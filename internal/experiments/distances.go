@@ -111,20 +111,21 @@ func Table2(cfg Config) Table2Result {
 		accs := make([]float64, n)
 		sw := obs.NewStopwatch()
 		for i := range datasets {
-			if cfg.Metrics == nil {
+			if obs.ActiveRecorder() == nil {
 				accs[i] = ev.evaluate(i)
 				continue
 			}
 			countersBefore := obs.ReadCounters()
 			dsSW := obs.NewStopwatch()
 			accs[i] = ev.evaluate(i)
-			cfg.Metrics.Record(obs.RunRecord{
+			counters := obs.ReadCounters().Sub(countersBefore)
+			obs.RecordRun(obs.RunRecord{
 				Method:    ev.name,
 				Dataset:   datasets[i].Name,
 				Seconds:   dsSW.Seconds(),
 				Score:     accs[i],
-				ScoreKind: "accuracy_1nn",
-				Counters:  obs.ReadCounters().Sub(countersBefore),
+				ScoreKind: obs.ScoreAccuracy1NN,
+				Counters:  &counters,
 			})
 		}
 		rows[r] = DistanceRow{

@@ -7,20 +7,16 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
 	"log/slog"
 	"math/rand"
-	"strings"
 
 	"kshape/internal/dataset"
-	"kshape/internal/obs"
 )
 
 // Config controls experiment scale. The zero value is unusable; call
-// DefaultConfig or ReducedConfig.
+// ReducedConfig.
 type Config struct {
-	// Datasets to evaluate. Defaults to the full 48-dataset archive.
+	// Datasets to evaluate (ReducedConfig takes the first archive entries).
 	Datasets []dataset.Dataset
 	// Runs is the number of random restarts averaged for partitional
 	// methods (the paper uses 10).
@@ -38,34 +34,15 @@ type Config struct {
 	// unit of work (method, dataset, wall time, score fields) at info
 	// level. cmd/kbench wires its -log-level/-log-json flags here.
 	Logger *slog.Logger
-	// Progress, if non-nil, receives one plain-text line per completed
-	// unit of work — the legacy sink, kept for callers without a Logger.
-	Progress io.Writer
-	// Metrics, if non-nil, receives one RunRecord per (method, dataset)
-	// unit of work — wall time, score, kernel-counter deltas, and (for
-	// iterative methods) the per-iteration convergence trajectory. Callers
-	// should also obs.SetEnabled(true) so the counter deltas are non-zero.
-	// When Metrics is set, clustering sweeps run datasets serially so that
-	// each record's counter delta is attributable to that run alone.
-	Metrics *obs.Collector
 	// Workers bounds the dataset-level parallelism of the experiment
 	// sweeps (par.Resolve semantics: <= 0 means runtime.NumCPU(), 1 means
 	// serial). Individual clustering runs inside a sweep always execute
-	// serially so that per-run records stay attributable; results are
-	// identical for every value.
+	// serially; results are identical for every value. With a flight
+	// recorder installed, every unit of work is recorded as an
+	// obs.RunRecord; the records of the dataset-parallel sweeps (the
+	// iterative methods) carry their kernel-counter delta only when
+	// Workers resolves to 1.
 	Workers int
-}
-
-// DefaultConfig is the full-scale configuration used by cmd/kbench: all 48
-// datasets, 5 partitional runs, 10 spectral runs.
-func DefaultConfig() Config {
-	return Config{
-		Datasets:      dataset.Archive(),
-		Runs:          5,
-		SpectralRuns:  10,
-		Seed:          1,
-		MaxWindowFrac: 0.10,
-	}
 }
 
 // ReducedConfig is a down-scaled configuration for smoke tests and
@@ -88,22 +65,11 @@ func ReducedConfig(nDatasets int) Config {
 	}
 }
 
-// progress reports one completed unit of work. attrs are alternating
-// key/value pairs (slog convention): the Logger receives them as
-// structured fields, and the legacy Progress writer gets a rendered
-// "msg key=value ..." line.
+// progress logs one completed unit of work. attrs are alternating
+// key/value pairs (slog convention).
 func (c Config) progress(msg string, attrs ...any) {
 	if c.Logger != nil {
 		c.Logger.Info(msg, attrs...)
-	}
-	if c.Progress != nil {
-		var sb strings.Builder
-		sb.WriteString(msg)
-		for i := 0; i+1 < len(attrs); i += 2 {
-			fmt.Fprintf(&sb, " %v=%v", attrs[i], attrs[i+1])
-		}
-		//lint:ignore errdrop best-effort progress line to an interactive console
-		fmt.Fprintln(c.Progress, sb.String())
 	}
 }
 

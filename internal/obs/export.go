@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // This file is the export half of the instrumentation layer: it renders
@@ -178,7 +177,7 @@ var publishExpvar = sync.OnceFunc(func() {
 // runtime profiler under /debug/pprof/.
 func NewTelemetryMux() *http.ServeMux {
 	publishExpvar()
-	started := time.Now()
+	started := NewStopwatch()
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", MetricsHandler())
 	mux.Handle("/progress", ProgressHandler())
@@ -187,7 +186,7 @@ func NewTelemetryMux() *http.ServeMux {
 		// Probe responses are best-effort: a prober that hung up mid-read
 		// will simply retry.
 		_, _ = fmt.Fprintf(w, "{\"status\":\"ok\",\"uptime_seconds\":%.3f,\"telemetry_enabled\":%v,\"version\":%q}\n",
-			time.Since(started).Seconds(), Enabled(), Version())
+			started.Seconds(), Enabled(), Version())
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // The latency histograms use fixed log-scaled bucket boundaries: bound i
 // covers durations in (bound[i-1], bound[i]] nanoseconds, with bound[i] =
@@ -236,9 +233,9 @@ func StartPhase(p Phase) func() {
 	if !enabled.Load() && rec == nil {
 		return noopStop
 	}
-	start := time.Now()
+	sw := NewStopwatch()
 	return func() {
-		ns := time.Since(start).Nanoseconds()
+		ns := sw.ElapsedNS()
 		ObservePhase(p, ns)
 		if rec != nil {
 			rec.RecordPhaseSpan(p, ns)

@@ -1,9 +1,10 @@
 // Package obs is the instrumentation layer of the repository: cheap atomic
 // kernel counters (FFT transforms, distance evaluations, eigensolver
-// iterations, empty-cluster reseeds), monotonic-clock span timers forming a
-// hierarchical trace (run → iteration → phase), per-iteration refinement
-// statistics, and a collector that aggregates per-method/per-dataset run
-// records into the JSON report emitted by `kbench -metrics`.
+// iterations, empty-cluster reseeds), phase latency histograms,
+// per-iteration refinement statistics, and the flight recorder whose run
+// report (kshape.runreport/v1) is the one structured report every CLI
+// writes — including kbench's per-(method, dataset, run) records and
+// experiment spans. Stopwatch is the one clock the package reads.
 //
 // The package is standard-library only and designed so that the disabled
 // path costs a single atomic load per instrumented call site: counters are

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCountersDisabledByDefault(t *testing.T) {
@@ -73,124 +72,106 @@ func TestCounterString(t *testing.T) {
 	}
 }
 
-func TestSpanNesting(t *testing.T) {
-	tr := NewTrace("run")
-	iter := tr.Root().Child("iteration-1")
-	refine := iter.Child("refine")
-	time.Sleep(time.Millisecond)
-	refine.End()
-	assign := iter.Child("assign")
-	assign.End()
-	iter.End()
-	root := tr.Finish()
-
-	if root.Name != "run" || len(root.Children) != 1 {
-		t.Fatalf("root = %q with %d children, want run with 1", root.Name, len(root.Children))
-	}
-	if got := root.Find("refine"); got != refine {
-		t.Fatal("Find(refine) did not locate the nested span")
-	}
-	if root.Find("missing") != nil {
-		t.Fatal("Find(missing) should be nil")
-	}
-	if refine.DurationNS <= 0 {
-		t.Errorf("refine duration = %d, want > 0", refine.DurationNS)
-	}
-	if refine.StartNS < iter.StartNS {
-		t.Errorf("child started (%d) before parent (%d)", refine.StartNS, iter.StartNS)
-	}
-	if root.DurationNS < refine.StartNS+refine.DurationNS {
-		t.Errorf("root duration %d shorter than child extent %d",
-			root.DurationNS, refine.StartNS+refine.DurationNS)
-	}
-	// End is idempotent: a second End must not change the duration.
-	d := refine.DurationNS
-	refine.End()
-	if refine.DurationNS != d {
-		t.Error("second End changed the span duration")
-	}
-}
-
-func TestSpanConcurrentChildren(t *testing.T) {
-	tr := NewTrace("run")
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tr.Root().Child("child").End()
-		}()
-	}
-	wg.Wait()
-	if n := len(tr.Finish().Children); n != 16 {
-		t.Errorf("got %d children, want 16", n)
-	}
-}
-
 func TestReportJSONRoundTrip(t *testing.T) {
-	col := NewCollector()
-	col.Record(RunRecord{
+	r := NewRecorder(0)
+	r.RecordRun(RunRecord{
 		Method: "k-Shape", Dataset: "CBF", Run: 1, Seconds: 0.25,
-		Score: 0.9, ScoreKind: "rand_index", Iterations: 2, Converged: true,
-		Counters: Counters{FFT: 10, IFFT: 5, SBD: 7},
+		Score: 0.9, ScoreKind: ScoreRandIndex, Iterations: 2, Converged: true,
+		Counters: &Counters{FFT: 10, IFFT: 5, SBD: 7},
 		Trajectory: []IterationStats{
 			{Iteration: 1, Inertia: 12.5, LabelChurn: 30, ClusterSizes: []int{10, 20}, RefineNS: 100, AssignNS: 200},
 			{Iteration: 2, Inertia: 11.0, LabelChurn: 0, ClusterSizes: []int{12, 18}, RefineNS: 90, AssignNS: 180, Reseeds: 1},
 		},
 	})
-	tr := NewTrace("kbench")
-	tr.Root().Child("table2").End()
-	report := col.BuildReport("kbench", []string{"-metrics", "x.json"}, []string{"table2"},
-		Counters{FFT: 10, SBD: 7}, tr.Finish())
+	r.RecordRun(RunRecord{Method: "SBD", Dataset: "CBF", Score: 0.8, ScoreKind: ScoreAccuracy1NN})
+	r.RecordExperiment(ExperimentSpan{Name: "table2", StartNS: 5, DurationNS: 40})
+	report := r.Report("kbench", "", []string{"-report", "x.json"}, Counters{FFT: 10, SBD: 7})
+	if err := report.Validate(); err != nil {
+		t.Fatal(err)
+	}
 
 	var buf bytes.Buffer
 	if err := report.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var back Report
+	var back RunReport
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("report does not round-trip: %v", err)
 	}
-	if back.Tool != "kbench" || len(back.Runs) != 1 || back.Counters.FFT != 10 {
+	if back.Tool != "kbench" || len(back.Runs) != 2 || back.Counters.FFT != 10 {
 		t.Fatalf("round-trip mismatch: %+v", back)
 	}
-	r := back.Runs[0]
-	if r.Method != "k-Shape" || len(r.Trajectory) != 2 || r.Trajectory[1].Reseeds != 1 {
-		t.Fatalf("run record mismatch: %+v", r)
+	run := back.Runs[0]
+	if run.Method != "k-Shape" || len(run.Trajectory) != 2 || run.Trajectory[1].Reseeds != 1 ||
+		run.Counters == nil || *run.Counters != (Counters{FFT: 10, IFFT: 5, SBD: 7}) {
+		t.Fatalf("run record mismatch: %+v", run)
 	}
-	if back.Phases == nil || back.Phases.Find("table2") == nil {
-		t.Fatal("phase span tree lost in round-trip")
+	if back.Runs[1].Counters != nil {
+		t.Errorf("a record without counters came back with %+v", back.Runs[1].Counters)
+	}
+	if len(back.Experiments) != 1 || back.Experiments[0] != (ExperimentSpan{Name: "table2", StartNS: 5, DurationNS: 40}) {
+		t.Fatalf("experiments = %+v", back.Experiments)
 	}
 
-	// The wire names must stay snake_case and match Counter.String.
-	var raw map[string]any
+	// The wire names must stay snake_case and match Counter.String; a
+	// record without a counter delta carries no counters key at all.
+	var raw struct {
+		Counters    map[string]any   `json:"counters"`
+		Runs        []map[string]any `json:"runs"`
+		Experiments []map[string]any `json:"experiments"`
+	}
 	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
 		t.Fatal(err)
 	}
-	counters, ok := raw["counters"].(map[string]any)
-	if !ok {
-		t.Fatalf("counters not an object: %T", raw["counters"])
-	}
 	for c := Counter(0); c < numCounters; c++ {
-		if _, ok := counters[c.String()]; !ok {
+		if _, ok := raw.Counters[c.String()]; !ok {
 			t.Errorf("counters JSON missing key %q", c.String())
+		}
+		if _, ok := raw.Runs[0]["counters"].(map[string]any)[c.String()]; !ok {
+			t.Errorf("run counters JSON missing key %q", c.String())
+		}
+	}
+	if _, ok := raw.Runs[1]["counters"]; ok {
+		t.Error("record without a counter delta serialized a counters key")
+	}
+	for _, key := range []string{"name", "start_ns", "duration_ns"} {
+		if _, ok := raw.Experiments[0][key]; !ok {
+			t.Errorf("experiment JSON missing key %q", key)
 		}
 	}
 }
 
-func TestCollectorConcurrentRecord(t *testing.T) {
-	col := NewCollector()
+// TestRecordRunConcurrent records from many goroutines through the
+// package-level hook, as a parallel experiment sweep does; run it under
+// -race.
+func TestRecordRunConcurrent(t *testing.T) {
+	RecordRun(RunRecord{Method: "dropped"}) // no recorder: a no-op
+	r := NewRecorder(0)
+	prev := SetRecorder(r)
+	defer SetRecorder(prev)
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		wg.Add(1)
 		go func(run int) {
 			defer wg.Done()
-			col.Record(RunRecord{Method: "m", Run: run})
+			RecordRun(RunRecord{Method: "m", Run: run, ScoreKind: ScoreRandIndex})
+			r.RecordExperiment(ExperimentSpan{Name: "e"})
 		}(i)
 	}
 	wg.Wait()
-	if n := len(col.Runs()); n != 32 {
-		t.Errorf("got %d records, want 32", n)
+	rep := r.Report("t", "", nil, Counters{})
+	if len(rep.Runs) != 32 || len(rep.Experiments) != 32 {
+		t.Fatalf("got %d records and %d experiments, want 32 each", len(rep.Runs), len(rep.Experiments))
+	}
+	seen := map[int]bool{}
+	for _, run := range rep.Runs {
+		if run.Method != "m" {
+			t.Fatalf("unexpected record %+v", run)
+		}
+		seen[run.Run] = true
+	}
+	if len(seen) != 32 {
+		t.Errorf("%d distinct runs recorded, want 32", len(seen))
 	}
 }
 

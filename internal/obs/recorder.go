@@ -11,7 +11,8 @@ import (
 // ring of timestamped events (phase enter/exit spans, iteration boundaries,
 // per-worker chunk spans, free-form marks) plus a background runtime
 // sampler (heap in use, cumulative allocations, GC pause totals, goroutine
-// count) and a per-worker attribution table fed by internal/par. Together
+// count), a per-worker attribution table fed by internal/par, and the
+// per-unit run records and experiment spans kbench reports. Together
 // they answer the question the aggregate counters and histograms cannot:
 // *where inside the run* the time went — which worker, which phase, and
 // whether the pool was busy or waiting.
@@ -109,6 +110,12 @@ type Recorder struct {
 	sampleInterval time.Duration
 	samplerStop    chan struct{}
 	samplerDone    chan struct{}
+
+	runs struct {
+		sync.Mutex
+		records     []RunRecord
+		experiments []ExperimentSpan
+	}
 }
 
 // Recorder sizing defaults.
@@ -203,6 +210,21 @@ func (r *Recorder) RecordChunk(worker, lo, hi int, startNS, durNS int64) {
 		AtNS: startNS, DurNS: durNS, Kind: EventChunk,
 		Worker: int32(clampWorker(worker)), Lo: int32(lo), Hi: int32(hi),
 	})
+}
+
+// RecordRun appends one experiment run record; safe for concurrent use.
+func (r *Recorder) RecordRun(rec RunRecord) {
+	r.runs.Lock()
+	r.runs.records = append(r.runs.records, rec)
+	r.runs.Unlock()
+}
+
+// RecordExperiment appends one finished experiment span; safe for
+// concurrent use.
+func (r *Recorder) RecordExperiment(e ExperimentSpan) {
+	r.runs.Lock()
+	r.runs.experiments = append(r.runs.experiments, e)
+	r.runs.Unlock()
 }
 
 // AddWorkerSpan folds one pool invocation's per-worker totals into the
@@ -365,5 +387,12 @@ func RecordIteration(iter int) {
 func RecordMark(label string) {
 	if r := activeRecorder.Load(); r != nil {
 		r.RecordMark(label)
+	}
+}
+
+// RecordRun appends an experiment run record to the active recorder.
+func RecordRun(rec RunRecord) {
+	if r := activeRecorder.Load(); r != nil {
+		r.RecordRun(rec)
 	}
 }

@@ -41,9 +41,57 @@ type RunReport struct {
 	RuntimeSamples []RuntimeSample `json:"runtime_samples"`
 	// Events is the retained flight-recorder event window, oldest first.
 	Events []ReportEvent `json:"events,omitempty"`
+	// Runs holds one record per measured unit of experiment work, in the
+	// order the units finished (kbench only).
+	Runs []RunRecord `json:"runs,omitempty"`
+	// Experiments holds one span per kbench experiment (kbench only).
+	Experiments []ExperimentSpan `json:"experiments,omitempty"`
 	// Recorder describes the recorder itself: capacities, retention, and
 	// loss counters, so a truncated report is recognizable as such.
 	Recorder RecorderStats `json:"recorder"`
+}
+
+// The score kinds of a RunRecord.
+const (
+	// ScoreRandIndex scores a clustering run by its Rand Index.
+	ScoreRandIndex = "rand_index"
+	// ScoreAccuracy1NN scores a distance measure by 1-NN accuracy.
+	ScoreAccuracy1NN = "accuracy_1nn"
+)
+
+// RunRecord is one measured unit of experiment work: a clustering run or a
+// 1-NN classification pass of one method over one dataset.
+type RunRecord struct {
+	// Method is the algorithm or distance-measure name.
+	Method string `json:"method"`
+	// Dataset names the archive dataset the run executed on.
+	Dataset string `json:"dataset,omitempty"`
+	// Run is the restart index for randomized methods (0-based).
+	Run int `json:"run"`
+	// Seconds is the run's wall time.
+	Seconds float64 `json:"seconds"`
+	// Score is the quality metric of the run and ScoreKind its
+	// interpretation (ScoreRandIndex or ScoreAccuracy1NN).
+	Score     float64 `json:"score"`
+	ScoreKind string  `json:"score_kind"`
+	// Iterations and Converged describe the refinement loop (clustering
+	// runs only).
+	Iterations int  `json:"iterations,omitempty"`
+	Converged  bool `json:"converged,omitempty"`
+	// Counters is the kernel-counter delta accrued by this run alone. It
+	// is nil when other runs executed concurrently, because the counters
+	// are process-global and a delta would mix their work in.
+	Counters *Counters `json:"counters,omitempty"`
+	// Trajectory is the per-iteration convergence data (clustering runs
+	// with an iterative engine only).
+	Trajectory []IterationStats `json:"trajectory,omitempty"`
+}
+
+// ExperimentSpan is one named experiment of a run on the recorder clock.
+type ExperimentSpan struct {
+	Name       string `json:"name"`
+	StartNS    int64  `json:"start_ns"`
+	DurationNS int64  `json:"duration_ns"`
 }
 
 // PhaseStats summarizes one phase histogram.
@@ -124,6 +172,9 @@ type RecorderStats struct {
 // snapshot taken when recording began).
 func (r *Recorder) Report(tool, runID string, args []string, counters Counters) RunReport {
 	samples, sampleDrops := r.Samples()
+	r.runs.Lock()
+	runs, experiments := r.runs.records, r.runs.experiments
+	r.runs.Unlock()
 	rep := RunReport{
 		Schema:         RunReportSchema,
 		Tool:           tool,
@@ -136,6 +187,8 @@ func (r *Recorder) Report(tool, runID string, args []string, counters Counters) 
 		Workers:        r.workerStats(),
 		RuntimeSamples: samples,
 		Events:         reportEvents(r.Events()),
+		Runs:           runs,
+		Experiments:    experiments,
 		Recorder: RecorderStats{
 			EventCapacity:    len(r.slots),
 			EventsRecorded:   r.next.Load(),
@@ -291,6 +344,19 @@ func (r *RunReport) Validate() error {
 	}
 	if n := int64(len(r.Events)); n > int64(r.Recorder.EventCapacity) {
 		return fmt.Errorf("%d events exceed capacity %d", n, r.Recorder.EventCapacity)
+	}
+	for i, run := range r.Runs {
+		if run.Method == "" {
+			return fmt.Errorf("run %d has no method", i)
+		}
+		if run.ScoreKind != ScoreRandIndex && run.ScoreKind != ScoreAccuracy1NN {
+			return fmt.Errorf("run %d (%s) has unknown score kind %q", i, run.Method, run.ScoreKind)
+		}
+	}
+	for _, e := range r.Experiments {
+		if e.DurationNS < 0 {
+			return fmt.Errorf("experiment %q has negative duration %d", e.Name, e.DurationNS)
+		}
 	}
 	return nil
 }

@@ -28,6 +28,8 @@ func buildReport(t *testing.T) obs.RunReport {
 	r.RecordChunk(1, 8, 16, 12, 600)
 	r.AddWorkerSpan(0, 1, 8, 500, 40, 540)
 	r.AddWorkerSpan(1, 1, 8, 600, 20, 620)
+	r.RecordRun(obs.RunRecord{Method: "k-Shape", Dataset: "CBF", Score: 0.9, ScoreKind: obs.ScoreRandIndex})
+	r.RecordExperiment(obs.ExperimentSpan{Name: "table3", StartNS: 10, DurationNS: 900})
 	stop()
 	return r.Report("obs_test", "runid01", []string{"-fake"}, obs.Counters{})
 }
@@ -75,6 +77,9 @@ func TestReportValidateCatchesCorruption(t *testing.T) {
 			r.RuntimeSamples[0].AtNS = r.RuntimeSamples[len(r.RuntimeSamples)-1].AtNS + 1
 		}, "backward"},
 		{"capacity", func(r *obs.RunReport) { r.Recorder.EventCapacity = 0 }, "capacity"},
+		{"run method", func(r *obs.RunReport) { r.Runs[0].Method = "" }, "no method"},
+		{"score kind", func(r *obs.RunReport) { r.Runs[0].ScoreKind = "f1" }, "score kind"},
+		{"experiment duration", func(r *obs.RunReport) { r.Experiments[0].DurationNS = -1 }, "negative duration"},
 	}
 	for _, tc := range mutations {
 		rep := buildReport(t)

@@ -379,7 +379,8 @@ func measureByName(name string) (dist.Measure, bool) {
 // series under the named distance measure (see Measures) — the
 // 1-nearest-neighbor protocol of the paper's distance evaluation (Table 2).
 // Series are z-normalized first unless skipNormalization. Training rows and
-// labels must align; all series must share one length.
+// labels must align, all series must share one length, and every value
+// must be finite; input that breaks these rules is rejected with an error.
 func Classify1NN(train [][]float64, labels []int, queries [][]float64, measure string, skipNormalization bool) ([]int, error) {
 	return Classify1NNWorkers(train, labels, queries, measure, skipNormalization, 0)
 }
@@ -397,6 +398,12 @@ func Classify1NNWorkers(train [][]float64, labels []int, queries [][]float64, me
 	m, ok := measureByName(measure)
 	if !ok {
 		return nil, fmt.Errorf("kshape: unknown measure %q (see kshape.Measures)", measure)
+	}
+	if err := checkRows("training series", train, len(train[0])); err != nil {
+		return nil, err
+	}
+	if err := checkRows("query", queries, len(train[0])); err != nil {
+		return nil, err
 	}
 	prep := func(rows [][]float64) [][]float64 {
 		if skipNormalization {

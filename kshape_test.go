@@ -401,6 +401,36 @@ func TestClassify1NNErrors(t *testing.T) {
 	}
 }
 
+func TestClassify1NNRejectsBadInput(t *testing.T) {
+	train := [][]float64{{0, 1, 0, -1}, {1, 0, -1, 0}}
+	labels := []int{0, 1}
+	query := [][]float64{{0, 1, 2, 1}}
+	cases := []struct {
+		name    string
+		train   [][]float64
+		queries [][]float64
+	}{
+		{"short query", train, [][]float64{{0, 1, 2}}},
+		{"long query", train, [][]float64{{0, 1, 2, 1, 0}}},
+		{"NaN query", train, [][]float64{{0, math.NaN(), 2, 1}}},
+		{"Inf query", train, [][]float64{{0, 1, math.Inf(1), 1}}},
+		{"ragged training row", [][]float64{{0, 1, 0, -1}, {1, 0, -1}}, query},
+		{"NaN training row", [][]float64{{0, 1, 0, -1}, {1, math.NaN(), -1, 0}}, query},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, measure := range []string{"SBD", "ED", "DTW"} {
+				for _, skip := range []bool{false, true} {
+					got, err := Classify1NN(c.train, labels, c.queries, measure, skip)
+					if err == nil {
+						t.Errorf("%s, skipNormalization=%v: accepted, labels %v", measure, skip, got)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestClusterOnIterationAndTrace(t *testing.T) {
 	data, _ := twoShapeClasses(15, 32, 21)
 

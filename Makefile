@@ -8,7 +8,7 @@ VCS_REVISION := $(shell git rev-parse HEAD 2>/dev/null || echo unknown)
 VCS_MODIFIED := $(shell test -n "$$(git status --porcelain 2>/dev/null)" && echo true || echo false)
 VCS_LDFLAGS := -ldflags "-X kshape/internal/obs.fallbackRevision=$(VCS_REVISION) -X kshape/internal/obs.fallbackModified=$(VCS_MODIFIED)"
 
-.PHONY: build test test-short test-race vet lint fmt-check check bench bench-diff bench-smoke smoke fuzz golden
+.PHONY: build test test-short test-race test-perfbench vet lint fmt-check check bench bench-diff bench-smoke smoke fuzz golden
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,12 @@ test:
 # Fast subset: skips the multi-minute experiment sweeps.
 test-short:
 	$(GO) test -short ./...
+
+# perfbench is a separate module (its own go.mod), so `go test ./...` at
+# the root neither builds nor tests it; a change that breaks the benchmark
+# harness would otherwise pass here and fail only in CI's perfbench job.
+test-perfbench:
+	cd perfbench && $(GO) test ./...
 
 # Race-detector pass over the deterministic parallel substrate
 # (internal/par) and every package that computes through it: the Lloyd /
@@ -78,10 +84,11 @@ golden:
 # Pre-commit gate, cheapest first so failures surface early: formatting,
 # go vet, the repo's own analyzers (kshapelint), the full test suite
 # (which includes the differential-oracle suite, the golden snapshots, and
-# the fuzz seed corpora as regression tests), the race-detector pass over
-# the parallel packages, and the telemetry smoke test, in that order. Run
+# the fuzz seed corpora as regression tests), perfbench's self-tests, the
+# race-detector pass over the parallel packages, and the telemetry smoke
+# test, in that order. Run
 # `make fuzz` separately for the coverage-guided mutation pass.
-check: fmt-check vet lint test test-race smoke
+check: fmt-check vet lint test test-perfbench test-race smoke
 
 # Runs every benchmark (including the serial-vs-parallel family with its
 # speedup and kernel-counter metrics) and regenerates the committed

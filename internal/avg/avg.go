@@ -5,20 +5,6 @@
 // dominant eigenvector of a centered Gram matrix of SBD-aligned sequences.
 package avg
 
-import "kshape/internal/ts"
-
-// Averager produces a representative (centroid) sequence for a cluster of
-// equal-length series. ref is the previous centroid, used by methods that
-// align members toward a reference before averaging (shape extraction, DBA
-// initialization); implementations must tolerate a nil or all-zero ref.
-type Averager interface {
-	// Name returns the identifier used in experiment tables.
-	Name() string
-	// Average returns the centroid of cluster. The returned slice is fresh
-	// (not aliased to any input).
-	Average(cluster [][]float64, ref []float64) []float64
-}
-
 // Mean computes the coordinate-wise arithmetic mean of the cluster — the
 // k-means centroid under Euclidean distance (Section 2.1, "arithmetic mean
 // property"). It returns a zero series of length len(ref) for an empty
@@ -41,13 +27,15 @@ func Mean(cluster [][]float64) []float64 {
 	return out
 }
 
-// MeanAverager is the Averager wrapping Mean (used by k-AVG variants).
+// MeanAverager wraps Mean as a centroid function, its Average method
+// (used by the k-AVG variants).
 type MeanAverager struct{}
 
-// Name implements Averager.
+// Name returns the averaging method's name.
 func (MeanAverager) Name() string { return "Mean" }
 
-// Average implements Averager.
+// Average returns a fresh centroid of cluster. ref is the previous
+// centroid and may be nil or all-zero.
 func (MeanAverager) Average(cluster [][]float64, ref []float64) []float64 {
 	out := Mean(cluster)
 	if out == nil && ref != nil {
@@ -55,6 +43,3 @@ func (MeanAverager) Average(cluster [][]float64, ref []float64) []float64 {
 	}
 	return out
 }
-
-// zNormOrZero z-normalizes x, mapping degenerate inputs to zeros.
-func zNormOrZero(x []float64) []float64 { return ts.ZNormalize(x) }

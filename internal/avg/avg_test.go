@@ -140,7 +140,7 @@ func TestShapeExtractionZeroRefSkipsAlignment(t *testing.T) {
 }
 
 func TestShapeAveragerInterface(t *testing.T) {
-	var a Averager = ShapeAverager{}
+	a := ShapeAverager{}
 	if a.Name() != "ShapeExtraction" {
 		t.Errorf("Name = %q", a.Name())
 	}
@@ -185,7 +185,7 @@ func TestDBAConvergesToPrototypeUnderWarping(t *testing.T) {
 		}
 		cluster[i] = x
 	}
-	got := DBA(cluster, nil, 5, -1)
+	got := DBAWorkers(cluster, nil, 5, -1, 1)
 	if d := dist.DTW(proto, got); d > 1.0 {
 		t.Errorf("DTW(proto, DBA) = %v, want < 1.0", d)
 	}
@@ -204,11 +204,11 @@ func TestDBAConvergesToPrototypeUnderWarping(t *testing.T) {
 }
 
 func TestDBAEmptyAndInit(t *testing.T) {
-	if DBA(nil, nil, 1, -1) != nil {
+	if DBAWorkers(nil, nil, 1, -1, 1) != nil {
 		t.Error("empty cluster, nil init should give nil")
 	}
 	init := []float64{1, 2, 3}
-	got := DBA(nil, init, 1, -1)
+	got := DBAWorkers(nil, init, 1, -1, 1)
 	if len(got) != 3 || &got[0] == &init[0] {
 		t.Error("empty cluster should copy init")
 	}
@@ -217,7 +217,7 @@ func TestDBAEmptyAndInit(t *testing.T) {
 func TestDBAIdenticalMembersFixedPoint(t *testing.T) {
 	x := []float64{0, 1, 0, -1, 0}
 	cluster := [][]float64{x, x, x}
-	got := DBA(cluster, nil, 3, -1)
+	got := DBAWorkers(cluster, nil, 3, -1, 1)
 	for i := range x {
 		if math.Abs(got[i]-x[i]) > 1e-9 {
 			t.Fatalf("DBA of identical members = %v, want %v", got, x)
@@ -276,11 +276,11 @@ func TestPSAWeightsReduceOrderBias(t *testing.T) {
 func TestPSAAndNLAAFAveragers(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	cluster := randCluster(6, 20, rng)
-	for _, a := range []Averager{NLAAFAverager{Window: -1}, PSAAverager{Window: -1}} {
-		out := a.Average(cluster, nil)
-		if len(out) != 20 {
-			t.Errorf("%s: len = %d", a.Name(), len(out))
-		}
+	if out := (NLAAFAverager{Window: -1}).Average(cluster, nil); len(out) != 20 {
+		t.Errorf("NLAAF: len = %d", len(out))
+	}
+	if out := (PSAAverager{Window: -1}).Average(cluster, nil); len(out) != 20 {
+		t.Errorf("PSA: len = %d", len(out))
 	}
 	if (NLAAFAverager{}).Name() != "NLAAF" || (PSAAverager{}).Name() != "PSA" {
 		t.Error("names wrong")
@@ -386,7 +386,7 @@ func TestKSCCentroidEmpty(t *testing.T) {
 }
 
 func TestKSCAveragerInterface(t *testing.T) {
-	var a Averager = KSCAverager{}
+	a := KSCAverager{}
 	if a.Name() != "KSC" {
 		t.Errorf("Name = %q", a.Name())
 	}

@@ -13,26 +13,21 @@ import (
 // experimental setup refines centroids "once" per run, Section 4).
 const DBAIterations = 1
 
-// DBA computes the DTW Barycenter Average of a cluster (Petitjean et al.,
-// referenced as the most robust DTW averaging method in Section 2.5).
-// Starting from init (or the cluster medoid-ish first member when init is
-// nil/zero), each pass warps every member onto the current average with DTW
-// and re-estimates every coordinate as the barycenter of all member points
-// mapped to it.
+// DBAWorkers computes the DTW Barycenter Average of a cluster (Petitjean
+// et al., referenced as the most robust DTW averaging method in Section
+// 2.5). Starting from init (or the cluster medoid-ish first member when
+// init is nil/zero), each pass warps every member onto the current average
+// with DTW and re-estimates every coordinate as the barycenter of all
+// member points mapped to it.
 //
 // window is the Sakoe-Chiba half-width for the alignments (negative =
 // unconstrained), letting k-DBA use the same constraint as its assignment
-// step.
-func DBA(cluster [][]float64, init []float64, iterations, window int) []float64 {
-	return DBAWorkers(cluster, init, iterations, window, 1)
-}
-
-// DBAWorkers is DBA with an explicit degree of parallelism for the
-// per-member alignment pass (par.Resolve semantics: <= 0 means
-// runtime.NumCPU(), 1 means serial). The warping paths — the expensive
-// O(m²) part — are computed in parallel, one slot per member, and the
-// barycenter accumulation then runs serially in member order, so the
-// average is bit-for-bit identical for every worker count.
+// step. workers bounds the parallelism of the per-member alignment pass
+// (par.Resolve semantics: <= 0 means runtime.NumCPU(), 1 means serial).
+// The warping paths — the expensive O(m²) part — are computed in parallel,
+// one slot per member, and the barycenter accumulation then runs serially
+// in member order, so the average is bit-for-bit identical for every
+// worker count.
 func DBAWorkers(cluster [][]float64, init []float64, iterations, window, workers int) []float64 {
 	if len(cluster) == 0 {
 		if init == nil {
@@ -86,21 +81,23 @@ func DBAWorkers(cluster [][]float64, init []float64, iterations, window, workers
 	return avg
 }
 
-// DBAAverager is the Averager wrapping DBA (used by k-DBA). Window is the
-// Sakoe-Chiba half-width (negative for unconstrained DTW, the k-DBA
-// default); Iterations is the refinement count per call; Workers bounds
-// the parallelism of the alignment pass (0 keeps it serial, which is the
-// right choice inside the engine's already-parallel refinement step).
+// DBAAverager wraps DBAWorkers as a centroid function, its Average method
+// (used by k-DBA). Window is the Sakoe-Chiba half-width (negative for
+// unconstrained DTW, the k-DBA default); Iterations is the refinement count
+// per call; Workers bounds the parallelism of the alignment pass (0 keeps
+// it serial, which is the right choice inside the engine's already-parallel
+// refinement step).
 type DBAAverager struct {
 	Window     int
 	Iterations int
 	Workers    int
 }
 
-// Name implements Averager.
+// Name returns the averaging method's name.
 func (DBAAverager) Name() string { return "DBA" }
 
-// Average implements Averager.
+// Average returns a fresh centroid of cluster. ref is the previous
+// centroid and may be nil or all-zero.
 func (a DBAAverager) Average(cluster [][]float64, ref []float64) []float64 {
 	iters := a.Iterations
 	if iters == 0 {

@@ -129,13 +129,14 @@ func KSCCentroid(cluster [][]float64, ref []float64) []float64 {
 	return cen
 }
 
-// KSCAverager is the Averager wrapping KSCCentroid.
+// KSCAverager wraps KSCCentroid as a centroid function, its Average method.
 type KSCAverager struct{}
 
-// Name implements Averager.
+// Name returns the averaging method's name.
 func (KSCAverager) Name() string { return "KSC" }
 
-// Average implements Averager.
+// Average returns a fresh centroid of cluster. ref is the previous
+// centroid and may be nil or all-zero.
 func (KSCAverager) Average(cluster [][]float64, ref []float64) []float64 {
 	return KSCCentroid(cluster, ref)
 }

@@ -74,15 +74,16 @@ func resample(x []float64, n int) []float64 {
 	return out
 }
 
-// NLAAFAverager is the Averager wrapping NLAAF.
+// NLAAFAverager wraps NLAAF as a centroid function, its Average method.
 type NLAAFAverager struct {
 	Window int
 }
 
-// Name implements Averager.
+// Name returns the averaging method's name.
 func (NLAAFAverager) Name() string { return "NLAAF" }
 
-// Average implements Averager.
+// Average returns a fresh centroid of cluster. ref is the previous
+// centroid and may be nil or all-zero.
 func (a NLAAFAverager) Average(cluster [][]float64, ref []float64) []float64 {
 	out := NLAAF(cluster, a.Window)
 	if out == nil && ref != nil {

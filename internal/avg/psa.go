@@ -44,15 +44,16 @@ func PSA(cluster [][]float64, window int) []float64 {
 	return level[0].seq
 }
 
-// PSAAverager is the Averager wrapping PSA.
+// PSAAverager wraps PSA as a centroid function, its Average method.
 type PSAAverager struct {
 	Window int
 }
 
-// Name implements Averager.
+// Name returns the averaging method's name.
 func (PSAAverager) Name() string { return "PSA" }
 
-// Average implements Averager.
+// Average returns a fresh centroid of cluster. ref is the previous
+// centroid and may be nil or all-zero.
 func (a PSAAverager) Average(cluster [][]float64, ref []float64) []float64 {
 	out := PSA(cluster, a.Window)
 	if out == nil && ref != nil {

@@ -137,13 +137,15 @@ func isAllZero(x []float64) bool {
 	return true
 }
 
-// ShapeAverager is the Averager wrapping ShapeExtraction (used by k-Shape).
+// ShapeAverager wraps ShapeExtraction as a centroid function, its Average
+// method.
 type ShapeAverager struct{}
 
-// Name implements Averager.
+// Name returns the averaging method's name.
 func (ShapeAverager) Name() string { return "ShapeExtraction" }
 
-// Average implements Averager.
+// Average returns a fresh centroid of cluster. ref is the previous
+// centroid and may be nil or all-zero.
 func (ShapeAverager) Average(cluster [][]float64, ref []float64) []float64 {
 	return ShapeExtraction(cluster, ref)
 }

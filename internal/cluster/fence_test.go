@@ -165,7 +165,8 @@ func TestKAvgSBDMatchesPerPairArchive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("48-dataset sweep")
 	}
-	for i, d := range dataset.Archive() {
+	for i, spec := range dataset.ArchiveSpecs() {
+		d := dataset.Generate(spec)
 		data := ts.Rows(d.All())
 		for j, x := range data {
 			data[j] = ts.ZNormalize(x)

@@ -267,33 +267,21 @@ func TestParseUCRErrors(t *testing.T) {
 	}
 }
 
-func TestLoadUCRDatasetRoundTrip(t *testing.T) {
+func TestLoadUCRFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	trainPath := filepath.Join(dir, "train.tsv")
-	testPath := filepath.Join(dir, "test.tsv")
-	if err := os.WriteFile(trainPath, []byte("0,1,2,3\n1,4,5,6\n"), 0o644); err != nil {
+	path := filepath.Join(dir, "train.tsv")
+	if err := os.WriteFile(path, []byte("0,1,2,3\n1,4,5,6\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(testPath, []byte("0,1,2,4\n1,4,5,7\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ds, err := LoadUCRDataset("toy", trainPath, testPath)
+	series, err := LoadUCRFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.K != 2 || ds.M != 3 || ds.N() != 4 {
-		t.Errorf("dataset = %+v", ds)
+	if len(series) != 2 || series[1].Label != 1 || series[1].Len() != 3 || series[1].Values[2] != 6 {
+		t.Errorf("series = %+v", series)
 	}
-	if _, err := LoadUCRDataset("x", filepath.Join(dir, "missing"), testPath); err == nil {
+	if _, err := LoadUCRFile(filepath.Join(dir, "missing")); err == nil {
 		t.Error("missing file accepted")
-	}
-	// Mismatched lengths across splits.
-	longPath := filepath.Join(dir, "long.tsv")
-	if err := os.WriteFile(longPath, []byte("0,1,2,3,4\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadUCRDataset("x", trainPath, longPath); err == nil {
-		t.Error("length mismatch accepted")
 	}
 }
 

@@ -15,8 +15,9 @@ import (
 // LoadUCRFile reads one split of a UCR-format dataset: one series per line,
 // the class label in the first field, values in the remaining fields,
 // separated by commas, tabs, or spaces. Non-integer labels are rejected.
-// All series must share one length. Values are returned as-is; call
-// ts.ZNormalizeAll to apply the archive's normalization convention.
+// All series must share one length. Values are returned as-is; z-normalize
+// them (ts.ZNormalizeInPlace) to apply the archive's normalization
+// convention.
 func LoadUCRFile(path string) ([]ts.Series, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -76,36 +77,6 @@ func ParseUCR(r io.Reader) ([]ts.Series, error) {
 		return nil, fmt.Errorf("no series found")
 	}
 	return out, nil
-}
-
-// LoadUCRDataset loads a train/test pair into a Dataset, inferring K from
-// the distinct labels across both splits.
-func LoadUCRDataset(name, trainPath, testPath string) (Dataset, error) {
-	train, err := LoadUCRFile(trainPath)
-	if err != nil {
-		return Dataset{}, err
-	}
-	test, err := LoadUCRFile(testPath)
-	if err != nil {
-		return Dataset{}, err
-	}
-	if train[0].Len() != test[0].Len() {
-		return Dataset{}, fmt.Errorf("dataset: train length %d != test length %d", train[0].Len(), test[0].Len())
-	}
-	labels := map[int]bool{}
-	for _, s := range train {
-		labels[s.Label] = true
-	}
-	for _, s := range test {
-		labels[s.Label] = true
-	}
-	return Dataset{
-		Name:  name,
-		K:     len(labels),
-		M:     train[0].Len(),
-		Train: train,
-		Test:  test,
-	}, nil
 }
 
 func splitUCRLine(line string) []string {

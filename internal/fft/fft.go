@@ -115,27 +115,6 @@ func ForwardReal(x []float64, padTo int) []complex128 {
 	return out
 }
 
-// Convolve returns the linear convolution of x and y with length
-// len(x)+len(y)-1, computed via FFT in O(L log L).
-func Convolve(x, y []float64) []float64 {
-	if len(x) == 0 || len(y) == 0 {
-		return nil
-	}
-	outLen := len(x) + len(y) - 1
-	n := NextPow2(outLen)
-	fx := ForwardReal(x, n)
-	fy := ForwardReal(y, n)
-	for i := range fx {
-		fx[i] *= fy[i]
-	}
-	Inverse(fx)
-	out := make([]float64, outLen)
-	for i := range out {
-		out[i] = real(fx[i])
-	}
-	return out
-}
-
 // CrossCorrelate returns the full cross-correlation sequence CC(x, y) of
 // length len(x)+len(y)-1, computed as IFFT(FFT(x) * conj(FFT(y))) per
 // Equation 12 of the paper. Entry w (0-based) corresponds to lag

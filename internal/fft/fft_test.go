@@ -128,22 +128,6 @@ func TestParsevalProperty(t *testing.T) {
 	}
 }
 
-func TestConvolve(t *testing.T) {
-	got := Convolve([]float64{1, 2, 3}, []float64{4, 5})
-	want := []float64{4, 13, 22, 15}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("Convolve = %v, want %v", got, want)
-		}
-	}
-	if Convolve(nil, []float64{1}) != nil {
-		t.Error("empty input should give nil")
-	}
-}
-
 func TestCrossCorrelateMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, m := range []int{1, 2, 5, 17, 64, 100, 257} {

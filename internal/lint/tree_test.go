@@ -37,8 +37,6 @@ var hotPathHarnesses = map[string]string{
 	"(*kshape/internal/linalg.Sym).gramUpper4":         "TestGramAddRowsAllocFree",
 	"(*kshape/internal/linalg.Sym).mirrorUpper":        "TestGramAddRowsAllocFree",
 	"kshape/internal/linalg.gramUpperRow":              "TestGramAddRowsAllocFree",
-	"kshape/internal/par.sumFloatRange":                "TestReductionInnerLoopsAllocFree",
-	"kshape/internal/par.sumFloats":                    "TestReductionInnerLoopsAllocFree",
 	"kshape/internal/par.sumIntRange":                  "TestReductionInnerLoopsAllocFree",
 	"kshape/internal/par.scanExtreme":                  "TestReductionInnerLoopsAllocFree",
 	"kshape/internal/core.assignChunk":                 "TestAssignmentScanAllocFree",

@@ -14,7 +14,10 @@
 // and subtracting (see Counters.Sub).
 package obs
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Counter identifies one kernel counter.
 type Counter int
@@ -83,13 +86,40 @@ type paddedInt64 struct {
 var (
 	enabled  atomic.Bool
 	counters [numCounters]paddedInt64
+
+	// enableMu guards the two inputs of enabled, which holds
+	// switchedOn || liveTraces > 0.
+	enableMu   sync.Mutex
+	switchedOn bool
+	liveTraces int
 )
 
 // SetEnabled turns counter accumulation on or off and returns the previous
-// state. Counting is off by default so that instrumented kernels cost one
-// atomic load when nobody is measuring.
+// SetEnabled state. Counting is off by default so that instrumented kernels
+// cost one atomic load when nobody is measuring. While a traced run begun
+// with StartTrace is live, counting stays on whatever SetEnabled is given.
 func SetEnabled(on bool) (previous bool) {
-	return enabled.Swap(on)
+	enableMu.Lock()
+	defer enableMu.Unlock()
+	previous, switchedOn = switchedOn, on
+	enabled.Store(switchedOn || liveTraces > 0)
+	return previous
+}
+
+// StartTrace turns counting on for one traced run and returns the function
+// that ends it, to be called once. Counting stays on until every traced run
+// has ended and then falls back to the SetEnabled state, so overlapping
+// traced runs each count all of their own work.
+func StartTrace() (end func()) {
+	addLiveTraces(1)
+	return func() { addLiveTraces(-1) }
+}
+
+func addLiveTraces(delta int) {
+	enableMu.Lock()
+	defer enableMu.Unlock()
+	liveTraces += delta
+	enabled.Store(switchedOn || liveTraces > 0)
 }
 
 // Enabled reports whether counters are being accumulated.

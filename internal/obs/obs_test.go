@@ -60,6 +60,27 @@ func TestSetEnabledReturnsPrevious(t *testing.T) {
 	}
 }
 
+// TestStartTraceOutlivesSetEnabled: counting stays on while any traced run
+// is live, whatever SetEnabled is given meanwhile, and returns to the
+// SetEnabled state after the last one ends.
+func TestStartTraceOutlivesSetEnabled(t *testing.T) {
+	prev := SetEnabled(false)
+	defer SetEnabled(prev)
+	endA := StartTrace()
+	endB := StartTrace()
+	if SetEnabled(false) || !Enabled() {
+		t.Error("SetEnabled(false) switched counting off under live traces")
+	}
+	endA()
+	if !Enabled() {
+		t.Error("counting off while trace B is live")
+	}
+	endB()
+	if Enabled() {
+		t.Error("counting on after every trace ended")
+	}
+}
+
 func TestCounterString(t *testing.T) {
 	if CounterFFT.String() != "fft" {
 		t.Errorf("CounterFFT.String() = %q", CounterFFT.String())

@@ -45,12 +45,6 @@ func Pairs() []OraclePair {
 			Run:  runCrossCorrelate,
 		},
 		{
-			Name: "fft/convolve-vs-direct",
-			Doc:  "FFT linear convolution matches the direct definition",
-			Tol:  DefaultTol,
-			Run:  runConvolve,
-		},
-		{
 			Name: "fft/rfft-roundtrip",
 			Doc:  "RFFT Inverse(Forward(x)) reproduces the zero-padded real input",
 			Tol:  DefaultTol,
@@ -136,13 +130,13 @@ func Pairs() []OraclePair {
 		},
 		{
 			Name: "par/sum-serial-vs-parallel",
-			Doc:  "SumFloat/SumInt are bit-identical for every worker count",
+			Doc:  "SumInt is exact for every worker count",
 			Tol:  0,
 			Run:  runParSums,
 		},
 		{
 			Name: "par/minmax-serial-vs-parallel",
-			Doc:  "MinIndex/MaxIndex match a serial scan (smallest-index ties) for every worker count",
+			Doc:  "MinIndex matches a serial scan (smallest-index ties) for every worker count",
 			Tol:  0,
 			Run:  runParMinMax,
 		},
@@ -187,20 +181,6 @@ func refCrossCorrelate(x, y []float64) []float64 {
 			}
 		}
 		out[w] = acc
-	}
-	return out
-}
-
-// refConvolve is the direct O(len(x)·len(y)) linear convolution.
-func refConvolve(x, y []float64) []float64 {
-	if len(x) == 0 || len(y) == 0 {
-		return nil
-	}
-	out := make([]float64, len(x)+len(y)-1)
-	for i, xv := range x {
-		for j, yv := range y {
-			out[i+j] += xv * yv
-		}
 	}
 	return out
 }
@@ -299,14 +279,6 @@ func runCrossCorrelate(g *Gen) error {
 	got := fft.CrossCorrelate(x, y)
 	want := refCrossCorrelate(x, y)
 	return CheckSlice(fmt.Sprintf("CrossCorrelate(len %d, %d)", len(x), len(y)), got, want, DefaultTol)
-}
-
-func runConvolve(g *Gen) error {
-	x := g.Series(g.LenAtMost(100))
-	y := g.Series(g.LenAtMost(100))
-	got := fft.Convolve(x, y)
-	want := refConvolve(x, y)
-	return CheckSlice(fmt.Sprintf("Convolve(len %d, %d)", len(x), len(y)), got, want, DefaultTol)
 }
 
 // rfftSizes spans degenerate plans through several butterfly stages.
@@ -796,19 +768,12 @@ var workerCounts = []int{2, 3, 7, 16}
 
 func runParSums(g *Gen) error {
 	n := 1 + g.Intn(2000)
-	vals := make([]float64, n)
 	ints := make([]int, n)
-	for i := range vals {
-		vals[i] = g.NormFloat64() * math.Exp(g.NormFloat64()*3)
+	for i := range ints {
 		ints[i] = g.Intn(1000) - 500
 	}
-	term := func(i int) float64 { return vals[i] }
-	wantF := par.SumFloat(1, n, term)
 	wantI := par.SumInt(1, n, func(i int) int { return ints[i] })
 	for _, w := range workerCounts {
-		if err := CheckScalar(fmt.Sprintf("SumFloat(workers=%d, n=%d)", w, n), par.SumFloat(w, n, term), wantF, 0); err != nil {
-			return err
-		}
 		if err := CheckInt(fmt.Sprintf("SumInt(workers=%d, n=%d)", w, n), par.SumInt(w, n, func(i int) int { return ints[i] }), wantI); err != nil {
 			return err
 		}
@@ -829,20 +794,12 @@ func runParMinMax(g *Gen) error {
 	}
 	score := func(i int) float64 { return vals[i] }
 	wantMinIdx, wantMin := par.MinIndex(1, n, score)
-	wantMaxIdx, wantMax := par.MaxIndex(1, n, score)
 	for _, w := range workerCounts {
 		gotIdx, gotVal := par.MinIndex(w, n, score)
 		if err := CheckInt(fmt.Sprintf("MinIndex(workers=%d, n=%d) idx", w, n), gotIdx, wantMinIdx); err != nil {
 			return err
 		}
 		if err := CheckScalar(fmt.Sprintf("MinIndex(workers=%d, n=%d) val", w, n), gotVal, wantMin, 0); err != nil {
-			return err
-		}
-		gotIdx, gotVal = par.MaxIndex(w, n, score)
-		if err := CheckInt(fmt.Sprintf("MaxIndex(workers=%d, n=%d) idx", w, n), gotIdx, wantMaxIdx); err != nil {
-			return err
-		}
-		if err := CheckScalar(fmt.Sprintf("MaxIndex(workers=%d, n=%d) val", w, n), gotVal, wantMax, 0); err != nil {
 			return err
 		}
 	}

@@ -246,21 +246,6 @@ func TestNewMatrix(t *testing.T) {
 	}
 }
 
-func TestEqualLength(t *testing.T) {
-	data := []Series{New([]float64{1, 2}), New([]float64{3, 4})}
-	m, err := EqualLength(data)
-	if err != nil || m != 2 {
-		t.Fatalf("EqualLength = %d, %v", m, err)
-	}
-	if _, err := EqualLength(nil); err == nil {
-		t.Error("expected error on empty collection")
-	}
-	ragged := []Series{New([]float64{1}), New([]float64{1, 2})}
-	if _, err := EqualLength(ragged); err == nil {
-		t.Error("expected error on ragged lengths")
-	}
-}
-
 func TestSeriesCloneAndAccessors(t *testing.T) {
 	s := NewLabeled([]float64{1, 2, 3}, 7)
 	c := s.Clone()
@@ -285,16 +270,6 @@ func TestRowsAndLabels(t *testing.T) {
 	l := Labels(data)
 	if l[0] != 0 || l[1] != 1 {
 		t.Errorf("Labels = %v", l)
-	}
-}
-
-func TestZNormalizeAll(t *testing.T) {
-	data := []Series{New([]float64{1, 2, 3, 4}), New([]float64{10, 20, 30, 40})}
-	ZNormalizeAll(data)
-	for i, s := range data {
-		if !IsZNormalized(s.Values, 1e-9) {
-			t.Errorf("series %d not z-normalized: %v", i, s.Values)
-		}
 	}
 }
 
@@ -377,142 +352,5 @@ func TestPAAPanicsOnBadSegments(t *testing.T) {
 			}()
 			PAA([]float64{1, 2, 3, 4, 5}, segs)
 		}()
-	}
-}
-
-func TestPAAAll(t *testing.T) {
-	data := [][]float64{{1, 2, 3, 4}, {4, 3, 2, 1}}
-	out := PAAAll(data, 2)
-	if len(out) != 2 || len(out[0]) != 2 {
-		t.Fatalf("PAAAll shape wrong: %v", out)
-	}
-	if out[0][0] != 1.5 || out[1][0] != 3.5 {
-		t.Errorf("PAAAll = %v", out)
-	}
-}
-
-func TestResample(t *testing.T) {
-	got := Resample([]float64{0, 1, 2, 3}, 7)
-	want := []float64{0, 0.5, 1, 1.5, 2, 2.5, 3}
-	for i := range want {
-		if !almostEqual(got[i], want[i], 1e-12) {
-			t.Fatalf("Resample = %v, want %v", got, want)
-		}
-	}
-	// Downsampling keeps the endpoints.
-	down := Resample([]float64{0, 1, 2, 3, 4, 5, 6}, 3)
-	if down[0] != 0 || down[2] != 6 || !almostEqual(down[1], 3, 1e-12) {
-		t.Errorf("downsample = %v", down)
-	}
-	if one := Resample([]float64{5}, 4); one[3] != 5 {
-		t.Errorf("constant resample = %v", one)
-	}
-	if z := Resample(nil, 3); len(z) != 3 {
-		t.Errorf("empty resample = %v", z)
-	}
-}
-
-func TestResamplePanicsOnBadLength(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	Resample([]float64{1}, 0)
-}
-
-func TestResampleAllUniformScaling(t *testing.T) {
-	data := []Series{
-		NewLabeled([]float64{0, 2, 4}, 0),
-		NewLabeled([]float64{0, 1, 2, 3, 4}, 1),
-	}
-	out := ResampleAll(data, 5)
-	for i, s := range out {
-		if s.Len() != 5 {
-			t.Fatalf("series %d length %d", i, s.Len())
-		}
-		if s.Label != data[i].Label {
-			t.Errorf("label lost")
-		}
-	}
-	// Both ramps resample to the same shape.
-	for i := range out[0].Values {
-		if !almostEqual(out[0].Values[i], out[1].Values[i], 1e-12) {
-			t.Fatalf("uniform scaling failed: %v vs %v", out[0].Values, out[1].Values)
-		}
-	}
-}
-
-func TestDetrendRemovesLinearTrend(t *testing.T) {
-	x := make([]float64, 50)
-	for i := range x {
-		x[i] = 3*float64(i) - 7
-	}
-	res := Detrend(x)
-	for i, v := range res {
-		if !almostEqual(v, 0, 1e-9) {
-			t.Fatalf("residual[%d] = %v, want 0 for a pure trend", i, v)
-		}
-	}
-	// Short inputs pass through.
-	if got := Detrend([]float64{5}); got[0] != 5 {
-		t.Errorf("Detrend single = %v", got)
-	}
-}
-
-func TestDetrendPreservesShape(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	base := make([]float64, 60)
-	for i := range base {
-		base[i] = math.Sin(2 * math.Pi * float64(i) / 20)
-	}
-	drifted := make([]float64, len(base))
-	for i := range base {
-		drifted[i] = base[i] + 0.5*float64(i)
-	}
-	_ = rng
-	res := Detrend(drifted)
-	// After detrending, the series should correlate strongly with the base.
-	if c := Dot(ZNormalize(res), ZNormalize(base)) / float64(len(base)); c < 0.95 {
-		t.Errorf("correlation after detrend = %v", c)
-	}
-}
-
-func TestMovingAverage(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	got := MovingAverage(x, 3)
-	want := []float64{1.5, 2, 3, 4, 4.5}
-	for i := range want {
-		if !almostEqual(got[i], want[i], 1e-12) {
-			t.Fatalf("MovingAverage = %v, want %v", got, want)
-		}
-	}
-	id := MovingAverage(x, 1)
-	for i := range x {
-		if id[i] != x[i] {
-			t.Fatal("width-1 window should be identity")
-		}
-	}
-}
-
-func TestMovingAveragePanicsOnEvenWidth(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	MovingAverage([]float64{1, 2}, 2)
-}
-
-func TestDifference(t *testing.T) {
-	got := Difference([]float64{1, 4, 9, 16})
-	want := []float64{3, 5, 7}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Difference = %v, want %v", got, want)
-		}
-	}
-	if Difference([]float64{1}) != nil {
-		t.Error("short input should give nil")
 	}
 }

@@ -92,7 +92,8 @@ type Options struct {
 	// CollectTrace records the per-iteration trajectory, kernel operation
 	// counters, and total wall time of the run into Result.Trace. Counter
 	// accumulation is process-global, so concurrent clustering runs in
-	// other goroutines contribute to this run's counter deltas.
+	// other goroutines contribute to this run's counter deltas; counting
+	// stays on until the last overlapping traced run ends.
 	CollectTrace bool
 	// Workers bounds the clustering's parallelism: 0 (the default) means
 	// runtime.NumCPU(), 1 means fully serial, and any other positive
@@ -108,7 +109,8 @@ type Options struct {
 }
 
 // Cluster partitions equal-length time series into k clusters with k-Shape
-// (or the algorithm named in opts.Method).
+// (or the algorithm named in opts.Method). Empty, ragged, zero-length or
+// non-finite input is rejected with an error.
 func Cluster(data [][]float64, k int, opts Options) (*Result, error) {
 	if len(data) == 0 {
 		return nil, errors.New("kshape: no input series")
@@ -140,7 +142,7 @@ func Cluster(data [][]float64, k int, opts Options) (*Result, error) {
 	onIter := opts.OnIteration
 	var trace *RunTrace
 	var countersBefore obs.Counters
-	var wasCounting bool
+	var endTrace func()
 	var sw obs.Stopwatch
 	if opts.CollectTrace {
 		trace = &RunTrace{Method: name}
@@ -151,7 +153,7 @@ func Cluster(data [][]float64, k int, opts Options) (*Result, error) {
 				userIter(st)
 			}
 		}
-		wasCounting = obs.SetEnabled(true)
+		endTrace = obs.StartTrace()
 		countersBefore = obs.ReadCounters()
 		sw = obs.NewStopwatch()
 	}
@@ -164,7 +166,7 @@ func Cluster(data [][]float64, k int, opts Options) (*Result, error) {
 	if opts.CollectTrace {
 		trace.TotalNS = sw.ElapsedNS()
 		trace.Counters = obs.ReadCounters().Sub(countersBefore)
-		obs.SetEnabled(wasCounting)
+		endTrace()
 	}
 	if err != nil {
 		return nil, err
@@ -310,6 +312,9 @@ func EstimateK(data [][]float64, kMax int, opts Options) (k int, silhouette floa
 	if kMax > len(data)-1 {
 		kMax = len(data) - 1
 	}
+	if err := checkRows("series", data, len(data[0])); err != nil {
+		return 0, 0, err
+	}
 	prepared := make([][]float64, len(data))
 	for i, x := range data {
 		if opts.SkipNormalization {
@@ -379,8 +384,9 @@ func measureByName(name string) (dist.Measure, bool) {
 // series under the named distance measure (see Measures) — the
 // 1-nearest-neighbor protocol of the paper's distance evaluation (Table 2).
 // Series are z-normalized first unless skipNormalization. Training rows and
-// labels must align, all series must share one length, and every value
-// must be finite; input that breaks these rules is rejected with an error.
+// labels must align, all series must share one nonzero length, and every
+// value must be finite; input that breaks these rules is rejected with an
+// error.
 func Classify1NN(train [][]float64, labels []int, queries [][]float64, measure string, skipNormalization bool) ([]int, error) {
 	return Classify1NNWorkers(train, labels, queries, measure, skipNormalization, 0)
 }
@@ -420,7 +426,7 @@ func Classify1NNWorkers(train [][]float64, labels []int, queries [][]float64, me
 	// SBD routes through the spectrum cache (one transform per training
 	// series, shared by all queries); SBDNearest and NNIndex use the same
 	// ascending strict-< scan, so predictions are identical.
-	if _, ok := m.(dist.SBDMeasure); ok && len(refs[0]) > 0 {
+	if _, ok := m.(dist.SBDMeasure); ok {
 		out := make([]int, len(qs))
 		for i, idx := range dist.SBDNearest(refs, qs, workers) {
 			out[i] = labels[idx]
@@ -450,9 +456,6 @@ func Predict(centroids [][]float64, queries [][]float64, skipNormalization bool)
 		return nil, errors.New("kshape: no centroids")
 	}
 	m := len(centroids[0])
-	if m == 0 {
-		return nil, errors.New("kshape: centroids are empty series")
-	}
 	if err := checkRows("centroid", centroids, m); err != nil {
 		return nil, err
 	}
@@ -471,9 +474,12 @@ func Predict(centroids [][]float64, queries [][]float64, skipNormalization bool)
 	return dist.SBDNearest(centroids, qs, 0), nil
 }
 
-// checkRows reports the first row of rows whose length is not m or that
-// holds a NaN or an infinity.
+// checkRows reports a zero length m, or the first row of rows whose
+// length is not m or that holds a NaN or an infinity.
 func checkRows(what string, rows [][]float64, m int) error {
+	if m == 0 {
+		return fmt.Errorf("kshape: %s 0 has length 0", what)
+	}
 	for i, x := range rows {
 		if len(x) != m {
 			return fmt.Errorf("kshape: %s %d has length %d, want %d", what, i, len(x), m)

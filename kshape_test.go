@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"kshape/internal/obs"
 )
 
 // twoShapeClasses builds raw (unnormalized) data with two shape classes and
@@ -276,6 +278,10 @@ func TestClusterRejectsBadInput(t *testing.T) {
 	if _, err := Cluster([][]float64{{1, math.Inf(1), 3}, {1, 2, 3}}, 2, Options{}); err == nil {
 		t.Error("Inf input accepted")
 	}
+	// Zero-length series.
+	if _, err := Cluster([][]float64{{}, {}, {}}, 2, Options{}); err == nil {
+		t.Error("zero-length input accepted")
+	}
 }
 
 func TestClusterConstantSeriesSurvive(t *testing.T) {
@@ -321,6 +327,14 @@ func TestEstimateKErrors(t *testing.T) {
 	data, _ := twoShapeClasses(5, 16, 22)
 	if _, _, err := EstimateK(data, 1, Options{}); err == nil {
 		t.Error("kMax < 2 accepted")
+	}
+	ragged := [][]float64{{1, 2, 3}, {1, 2, 3, 4}, {3, 2, 1}}
+	if _, _, err := EstimateK(ragged, 2, Options{}); err == nil {
+		t.Error("ragged input accepted")
+	}
+	nan := [][]float64{{1, 2, 3}, {1, math.NaN(), 3}, {3, 2, 1}}
+	if _, _, err := EstimateK(nan, 2, Options{}); err == nil {
+		t.Error("NaN input accepted")
 	}
 	// kMax beyond n-1 is clamped, not an error.
 	if _, _, err := EstimateK(data[:4], 10, Options{Seed: 1}); err != nil {
@@ -416,6 +430,7 @@ func TestClassify1NNRejectsBadInput(t *testing.T) {
 		{"Inf query", train, [][]float64{{0, 1, math.Inf(1), 1}}},
 		{"ragged training row", [][]float64{{0, 1, 0, -1}, {1, 0, -1}}, query},
 		{"NaN training row", [][]float64{{0, 1, 0, -1}, {1, math.NaN(), -1, 0}}, query},
+		{"zero-length rows", [][]float64{{}, {}}, [][]float64{{}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -526,5 +541,77 @@ func TestClusterTraceNonIterativeMethod(t *testing.T) {
 	}
 	if tr.Counters.SBD == 0 {
 		t.Errorf("PAM+SBD trace recorded no SBD evaluations: %+v", tr.Counters)
+	}
+}
+
+// TestClusterTraceOverlappingRuns interleaves two traced runs: A starts
+// first and ends while B is still running. B must count all of its own
+// work, as it does alone, and counting must be off once both have ended.
+func TestClusterTraceOverlappingRuns(t *testing.T) {
+	dataA, _ := twoShapeClasses(10, 32, 31)
+	dataB, _ := twoShapeClasses(15, 32, 21)
+	optsA := Options{Seed: 5, Method: "k-AVG+ED", CollectTrace: true, Workers: 1}
+	optsB := Options{Seed: 3, CollectTrace: true, Workers: 1}
+	solo, err := Cluster(dataB, 2, optsB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if obs.Enabled() {
+		t.Fatal("counting on before the traced runs")
+	}
+
+	type outcome struct {
+		res *Result
+		err error
+	}
+	// start runs Cluster in a goroutine that blocks in its first
+	// OnIteration call until resume is closed.
+	start := func(data [][]float64, opts Options) (paused, resume chan struct{}, done chan outcome) {
+		paused, resume, done = make(chan struct{}), make(chan struct{}), make(chan outcome, 1)
+		first := true
+		opts.OnIteration = func(IterationStats) {
+			if first {
+				first = false
+				close(paused)
+				<-resume
+			}
+		}
+		go func() {
+			res, err := Cluster(data, 2, opts)
+			done <- outcome{res, err}
+		}()
+		return paused, resume, done
+	}
+	waitPaused := func(name string, paused chan struct{}, done chan outcome) {
+		select {
+		case <-paused:
+		case o := <-done:
+			t.Fatalf("run %s ended before its first iteration: %v", name, o.err)
+		}
+	}
+
+	aPaused, aResume, aDone := start(dataA, optsA)
+	waitPaused("A", aPaused, aDone)
+	bPaused, bResume, bDone := start(dataB, optsB)
+	waitPaused("B", bPaused, bDone)
+	close(aResume)
+	if a := <-aDone; a.err != nil {
+		t.Fatal(a.err)
+	}
+	close(bResume)
+	b := <-bDone
+	if b.err != nil {
+		t.Fatal(b.err)
+	}
+	// A is k-AVG+ED: it extracts no shapes and runs no eigensolver, so B's
+	// deltas of those counters must equal its solo run's. A's trajectory
+	// drift adds SBD evaluations, so B's SBD count can only grow.
+	got, want := b.res.Trace.Counters, solo.Trace.Counters
+	if got.ShapeExtractions != want.ShapeExtractions || got.EigenIterations != want.EigenIterations || got.SBD < want.SBD {
+		t.Errorf("overlapped run counted sbd=%d shape_extractions=%d eigen_iterations=%d, alone %d, %d and %d",
+			got.SBD, got.ShapeExtractions, got.EigenIterations, want.SBD, want.ShapeExtractions, want.EigenIterations)
+	}
+	if obs.Enabled() {
+		t.Error("counting still on after every traced run ended")
 	}
 }
